@@ -117,7 +117,7 @@ mod tests {
         let sub = Subgraph::extract(&g, NodeSet::from_sorted(7, [0, 1, 2, 3]));
         let ideal = IdealRank {
             options: opts,
-            global_scores: truth.scores.clone(),
+            global_scores: truth.scores.clone().into(),
         };
         let e = evaluate(&ideal, &g, &sub, &truth.scores);
         assert!(e.l1 < 1e-8, "L1 {}", e.l1);

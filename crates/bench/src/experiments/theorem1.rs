@@ -35,7 +35,7 @@ pub fn run_with(ctx: &AuContext, domains: usize) -> (Vec<Row>, ExperimentOutput)
     let opts = experiment_options().with_tolerance(1e-12);
     let ideal = IdealRank {
         options: opts,
-        global_scores: ctx.truth.result.scores.clone(),
+        global_scores: ctx.truth.result.scores.clone().into(),
     };
     let mut rows = Vec::new();
     for name in PAPER_DOMAINS.iter().take(domains) {

@@ -50,7 +50,7 @@ pub fn run_with(ctx: &PoliticsContext, iterations: usize) -> (Theorem2Result, Ex
 
     let ideal = IdealRank {
         options: opts.clone(),
-        global_scores: ctx.truth.result.scores.clone(),
+        global_scores: ctx.truth.result.scores.clone().into(),
     };
     let ie = ideal.extended_graph(ctx.data.graph(), &sub);
     let ae = ApproxRank::new(opts).extended_graph(ctx.data.graph(), &sub);

@@ -87,7 +87,7 @@ pub fn run_rows(scale: DatasetScale) -> (Vec<Row>, ExperimentOutput) {
     {
         let ideal = IdealRank {
             options: opts.clone(),
-            global_scores: stale_scores.clone(),
+            global_scores: stale_scores.clone().into(),
         };
         let t0 = Instant::now();
         let r = ideal.rank_subgraph(&new_graph, &subgraph);

@@ -93,9 +93,8 @@ mod tests {
     use super::*;
     use approxrank_graph::{io, DiGraph};
 
-    fn setup() -> (String, String) {
-        let dir = std::env::temp_dir().join("subrank-compare-tests");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn setup(test: &str) -> (String, String) {
+        let dir = crate::commands::test_dir(test);
         let mut edges = Vec::new();
         for i in 0..60u32 {
             edges.push((i, (i + 1) % 60));
@@ -121,7 +120,7 @@ mod tests {
 
     #[test]
     fn compares_all_algorithms_with_truth() {
-        let (g, s) = setup();
+        let (g, s) = setup("compare-with-truth");
         let out = run(&CompareArgs {
             graph: g,
             subgraph: s,
@@ -144,7 +143,7 @@ mod tests {
 
     #[test]
     fn compare_without_truth_leaves_dashes() {
-        let (g, s) = setup();
+        let (g, s) = setup("compare-without-truth");
         let out = run(&CompareArgs {
             graph: g,
             subgraph: s,

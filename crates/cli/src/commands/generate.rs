@@ -59,8 +59,7 @@ mod tests {
 
     #[test]
     fn generates_and_reloads() {
-        let dir = std::env::temp_dir().join("subrank-gen-tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::commands::test_dir("gen-reload");
         let out = dir.join("au.edges").to_string_lossy().into_owned();
         let summary = run(&GenArgs {
             dataset: "au".into(),

@@ -61,9 +61,8 @@ mod tests {
     use super::*;
     use approxrank_graph::{io, DiGraph};
 
-    fn graph_file() -> String {
-        let dir = std::env::temp_dir().join("subrank-global-tests");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn graph_file(test: &str) -> String {
+        let dir = crate::commands::test_dir(test);
         let g = DiGraph::from_edges(4, &[(0, 1), (1, 2), (2, 0), (3, 0)]);
         let p = dir.join("g.edges");
         io::write_edge_list_file(&g, &p).unwrap();
@@ -72,7 +71,7 @@ mod tests {
 
     #[test]
     fn all_solvers_produce_same_top_page() {
-        let g = graph_file();
+        let g = graph_file("global-solvers");
         let mut tops = Vec::new();
         for solver in [
             Solver::Power,
@@ -113,7 +112,7 @@ mod tests {
     #[test]
     fn threads_do_not_change_scores_and_trace_shows_pool() {
         use crate::args::TraceOpts;
-        let g = graph_file();
+        let g = graph_file("global-threads");
         let run_with = |threads: usize, trace: bool| {
             run(&GlobalArgs {
                 graph: g.clone(),

@@ -82,9 +82,8 @@ mod tests {
     use super::*;
     use approxrank_graph::{io, DiGraph};
 
-    fn fixture() -> (String, String) {
-        let dir = std::env::temp_dir().join("subrank-cli-keyword-tests");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn fixture(test: &str) -> (String, String) {
+        let dir = crate::commands::test_dir(test);
         // A small ring with chords so every page is reachable.
         let edges: Vec<(u32, u32)> = (0..20u32)
             .flat_map(|i| vec![(i, (i + 1) % 20), (i, (i + 7) % 20)])
@@ -115,7 +114,7 @@ mod tests {
 
     #[test]
     fn explicit_base_matches_generated_label_keyword() {
-        let (g, s) = fixture();
+        let (g, s) = fixture("keyword-explicit-base");
         let by_base = run(&args(&g, &s)).unwrap();
         // Without a labels file pages are named `page-<id>`; "page-3"
         // resolves to exactly {3}, so the body must be byte-identical
@@ -136,7 +135,7 @@ mod tests {
 
     #[test]
     fn unmatched_keyword_is_an_error() {
-        let (g, s) = fixture();
+        let (g, s) = fixture("keyword-unmatched");
         let mut a = args(&g, &s);
         a.base = Vec::new();
         a.keyword = Some("no-such-page".into());

@@ -104,39 +104,46 @@ pub fn render_scores(pairs: &mut [(u32, f64)], top: usize) -> String {
     out
 }
 
+/// A private directory for one unit test, named after the test and the
+/// process id: tests running in parallel threads, or in concurrent test
+/// processes, never share (and race on) a fixture file.
+#[cfg(test)]
+pub(crate) fn test_dir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("subrank-{test}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create test dir");
+    dir
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn tmp(name: &str, contents: &str) -> String {
-        let dir = std::env::temp_dir().join("subrank-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join(name);
+    fn tmp(test: &str, name: &str, contents: &str) -> String {
+        let p = test_dir(test).join(name);
         std::fs::write(&p, contents).unwrap();
         p.to_string_lossy().into_owned()
     }
 
     #[test]
     fn node_ids_parsing() {
-        let p = tmp("ids.txt", "# comment\n1 2\n3\n\n4\n");
+        let p = tmp("node-ids", "ids.txt", "# comment\n1 2\n3\n\n4\n");
         assert_eq!(load_node_ids(&p).unwrap(), vec![1, 2, 3, 4]);
-        let bad = tmp("bad-ids.txt", "1\nxyz\n");
+        let bad = tmp("node-ids", "bad-ids.txt", "1\nxyz\n");
         assert!(load_node_ids(&bad).unwrap_err().contains("xyz"));
-        let empty = tmp("empty-ids.txt", "# nothing\n");
+        let empty = tmp("node-ids", "empty-ids.txt", "# nothing\n");
         assert!(load_node_ids(&empty).is_err());
     }
 
     #[test]
     fn scores_parsing() {
-        let p = tmp("scores.txt", "0.5\n# c\n1e-3\n");
+        let p = tmp("scores", "scores.txt", "0.5\n# c\n1e-3\n");
         assert_eq!(load_scores(&p).unwrap(), vec![0.5, 1e-3]);
     }
 
     #[test]
     fn graph_loading_both_formats() {
         let g = DiGraph::from_edges(3, &[(0, 1), (1, 2)]);
-        let dir = std::env::temp_dir().join("subrank-cli-tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = test_dir("graph-loading");
         let t = dir.join("g.edges");
         let b = dir.join("g.bin");
         io::write_edge_list_file(&g, &t).unwrap();

@@ -46,10 +46,7 @@ mod tests {
 
     #[test]
     fn writes_a_loadable_layout() {
-        let dir =
-            std::env::temp_dir().join(format!("subrank-partition-tests-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::commands::test_dir("partition-layout");
         let n = 40u32;
         let edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
         let g = DiGraph::from_edges(n as usize, &edges);

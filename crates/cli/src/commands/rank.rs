@@ -61,7 +61,7 @@ pub fn run(args: &RankArgs) -> Result<String, String> {
             }
             Box::new(IdealRank {
                 options,
-                global_scores: scores,
+                global_scores: scores.into(),
             })
         }
     };
@@ -110,11 +110,10 @@ pub fn run(args: &RankArgs) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::test_dir;
     use approxrank_graph::{io, DiGraph};
 
-    fn setup() -> (String, String) {
-        let dir = std::env::temp_dir().join("subrank-rank-tests");
-        std::fs::create_dir_all(&dir).unwrap();
+    fn setup(dir: &std::path::Path) -> (String, String) {
         let g = DiGraph::from_edges(
             7,
             &[
@@ -147,7 +146,7 @@ mod tests {
 
     #[test]
     fn ranks_with_every_algorithm() {
-        let (g, s) = setup();
+        let (g, s) = setup(&test_dir("rank-every-algorithm"));
         for algo in [
             Algorithm::ApproxRank,
             Algorithm::Local,
@@ -170,7 +169,7 @@ mod tests {
 
     #[test]
     fn mc_is_seed_deterministic_and_reports_estimate() {
-        let (g, s) = setup();
+        let (g, s) = setup(&test_dir("rank-mc-seed"));
         let args = RankArgs {
             graph: g,
             subgraph: s,
@@ -189,7 +188,7 @@ mod tests {
 
     #[test]
     fn top_k_truncates() {
-        let (g, s) = setup();
+        let (g, s) = setup(&test_dir("rank-top-k"));
         let out = run(&RankArgs {
             graph: g,
             subgraph: s,
@@ -204,8 +203,8 @@ mod tests {
     #[test]
     fn trace_flags_drive_report_and_json() {
         use crate::args::TraceOpts;
-        let (g, s) = setup();
-        let dir = std::env::temp_dir().join("subrank-rank-tests");
+        let dir = test_dir("rank-trace-flags");
+        let (g, s) = setup(&dir);
         let jsonl = dir.join("trace.jsonl").to_string_lossy().into_owned();
         let out = run(&RankArgs {
             graph: g.clone(),
@@ -243,8 +242,8 @@ mod tests {
 
     #[test]
     fn rejects_out_of_range_ids() {
-        let (g, _) = setup();
-        let dir = std::env::temp_dir().join("subrank-rank-tests");
+        let dir = test_dir("rank-out-of-range");
+        let (g, _) = setup(&dir);
         let bad = dir.join("bad.txt");
         std::fs::write(&bad, "99\n").unwrap();
         let err = run(&RankArgs {

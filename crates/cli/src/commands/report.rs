@@ -95,9 +95,7 @@ mod tests {
     use approxrank_trace::{Event, Observer, Recorder, RequestRecorder};
 
     fn tmp(name: &str, contents: &[u8]) -> String {
-        let dir = std::env::temp_dir().join("subrank-report-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join(name);
+        let p = crate::commands::test_dir(&format!("report-{name}")).join(name);
         std::fs::write(&p, contents).unwrap();
         p.to_string_lossy().into_owned()
     }

@@ -69,8 +69,7 @@ mod tests {
 
     #[test]
     fn reports_all_fields() {
-        let dir = std::env::temp_dir().join("subrank-stats-tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::commands::test_dir("stats-all-fields");
         // Note: the edge-list format cannot represent trailing isolated
         // nodes, so the fixture covers every node with an edge.
         let g = DiGraph::from_edges(4, &[(0, 1), (1, 0), (1, 2), (3, 2)]);
@@ -90,8 +89,7 @@ mod tests {
 
     #[test]
     fn reports_partition_balance() {
-        let dir = std::env::temp_dir().join("subrank-stats-tests");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::commands::test_dir("stats-partition-balance");
         let g = DiGraph::from_edges(4, &[(0, 1), (1, 0), (1, 2), (3, 2)]);
         let p = dir.join("g2.edges");
         io::write_edge_list_file(&g, &p).unwrap();

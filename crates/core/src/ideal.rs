@@ -8,6 +8,8 @@
 //! `Λ` entry equals the total external mass — `tests` and the repro
 //! harness verify this to solver tolerance.
 
+use std::sync::Arc;
+
 use approxrank_exec::{Executor, Partition};
 use approxrank_graph::{DiGraph, Subgraph};
 use approxrank_pagerank::{emit_exec_stats, PageRankOptions};
@@ -18,13 +20,15 @@ use crate::par::boundary_partition;
 use crate::ranker::{RankScores, SubgraphRanker};
 
 /// The IdealRank algorithm. Holds the known global score vector
-/// (length `N`; only the external entries are consulted).
+/// (length `N`; only the external entries are consulted) behind an
+/// `Arc`, so a server ranking many subgraphs against one global solve
+/// shares the vector instead of copying it per request.
 #[derive(Clone, Debug)]
 pub struct IdealRank {
     /// Solver settings (damping, tolerance, iteration cap).
     pub options: PageRankOptions,
     /// Known global PageRank scores, indexed by global node id.
-    pub global_scores: Vec<f64>,
+    pub global_scores: Arc<Vec<f64>>,
 }
 
 impl IdealRank {
@@ -32,7 +36,7 @@ impl IdealRank {
     pub fn new(global_scores: Vec<f64>) -> Self {
         IdealRank {
             options: PageRankOptions::paper(),
-            global_scores,
+            global_scores: Arc::new(global_scores),
         }
     }
 
@@ -283,7 +287,7 @@ mod tests {
         let sub = Subgraph::extract(&g, NodeSet::from_sorted(7, [0, 1, 2, 3]));
         let ideal = IdealRank {
             options: tight(),
-            global_scores: truth.scores.clone(),
+            global_scores: truth.scores.clone().into(),
         };
         let r = ideal.rank_subgraph(&g, &sub);
         assert!(r.converged);
@@ -309,7 +313,7 @@ mod tests {
         let sub = Subgraph::extract(&g, NodeSet::from_sorted(6, [0, 1, 2]));
         let ideal = IdealRank {
             options: tight(),
-            global_scores: truth.scores.clone(),
+            global_scores: truth.scores.clone().into(),
         };
         let e = ideal.extended_graph(&g, &sub);
         assert!(e.max_row_sum_error() < 1e-12, "A_ideal must be stochastic");
@@ -351,7 +355,7 @@ mod tests {
         );
         let ideal = IdealRank {
             options: tight(),
-            global_scores: truth.scores.clone(),
+            global_scores: truth.scores.clone().into(),
         };
         let r = ideal.rank_subgraph(&g, &sub);
         let restricted = sub.nodes().restrict(&truth.scores);
@@ -371,7 +375,7 @@ mod tests {
         let sub = Subgraph::extract(&g, NodeSet::from_sorted(7, 0..7));
         let ideal = IdealRank {
             options: tight(),
-            global_scores: truth.scores.clone(),
+            global_scores: truth.scores.clone().into(),
         };
         let r = ideal.rank_subgraph(&g, &sub);
         for k in 0..7 {
@@ -396,7 +400,7 @@ mod tests {
         let sub = Subgraph::extract(&g, NodeSet::from_sorted(7, [0, 1, 2, 3]));
         let ideal = IdealRank {
             options: tight(),
-            global_scores: truth.scores.clone(),
+            global_scores: truth.scores.clone().into(),
         };
         let r = ideal.rank_subgraph_personalized(&g, &sub, &p);
         assert!(r.converged);

@@ -173,7 +173,7 @@ mod tests {
         let sub = Subgraph::extract(&g, NodeSet::from_sorted(7, [0, 1, 2, 3]));
         let ideal = IdealRank {
             options: opts.clone(),
-            global_scores: truth.scores.clone(),
+            global_scores: truth.scores.clone().into(),
         };
         let ie = ideal.extended_graph(&g, &sub);
         let ae = ApproxRank::new(opts).extended_graph(&g, &sub);

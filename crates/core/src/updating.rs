@@ -136,7 +136,7 @@ impl IadUpdate {
             // estimates as the Λ weighting.
             let ideal = IdealRank {
                 options: self.options.clone(),
-                global_scores: x.clone(),
+                global_scores: x.clone().into(),
             };
             let r = ideal.rank_subgraph(new_graph, &subgraph);
 

@@ -47,7 +47,7 @@ proptest! {
     fn a_ideal_is_always_stochastic((g, set) in graph_and_subgraph()) {
         let truth = pagerank(&g, &tight());
         let sub = Subgraph::extract(&g, set);
-        let ideal = IdealRank { options: tight(), global_scores: truth.scores };
+        let ideal = IdealRank { options: tight(), global_scores: truth.scores.into() };
         let ext = ideal.extended_graph(&g, &sub);
         prop_assert!(ext.max_row_sum_error() < 1e-9);
     }
@@ -56,7 +56,7 @@ proptest! {
     fn theorem1_exactness((g, set) in graph_and_subgraph()) {
         let truth = pagerank(&g, &tight());
         let sub = Subgraph::extract(&g, set);
-        let ideal = IdealRank { options: tight(), global_scores: truth.scores.clone() };
+        let ideal = IdealRank { options: tight(), global_scores: truth.scores.clone().into() };
         let r = ideal.rank(&g, &sub);
         let restricted = sub.nodes().restrict(&truth.scores);
         let err: f64 = r
@@ -75,7 +75,7 @@ proptest! {
         let eps = 0.85;
         let truth = pagerank(&g, &tight());
         let sub = Subgraph::extract(&g, set);
-        let ideal = IdealRank { options: tight(), global_scores: truth.scores.clone() };
+        let ideal = IdealRank { options: tight(), global_scores: truth.scores.clone().into() };
         let ie = ideal.extended_graph(&g, &sub);
         let ae = ApproxRank::new(tight()).extended_graph(&g, &sub);
         let gap = external_assumption_gap(&truth.scores, &sub);

@@ -110,7 +110,7 @@ fn rankers(truth: &[f64]) -> Vec<Box<dyn SubgraphRanker>> {
         }),
         Box::new(IdealRank {
             options: opts(),
-            global_scores: truth.to_vec(),
+            global_scores: truth.to_vec().into(),
         }),
     ]
 }
@@ -164,7 +164,7 @@ fn idealrank_is_exact_on_every_case() {
         let sub = Subgraph::extract(&g, NodeSet::from_sorted(g.num_nodes(), members));
         let ideal = IdealRank {
             options: PageRankOptions::paper().with_tolerance(1e-12),
-            global_scores: truth.scores.clone(),
+            global_scores: truth.scores.clone().into(),
         };
         let r = ideal.rank(&g, &sub);
         let restricted = sub.nodes().restrict(&truth.scores);

@@ -20,6 +20,11 @@
 //! * **Compaction** — [`DeltaGraph::compact`] folds the overlay into a
 //!   fresh CSR generation and atomically swaps it in as the new base;
 //!   epochs are unchanged because graph *content* is unchanged.
+//!   [`DeltaGraph::compacted`] materializes the same CSR on demand for
+//!   solvers that need a whole graph; both count each O(E) rebuild in
+//!   [`DeltaGraph::materializations`]. Λ-collapse solves never need
+//!   one: they read [`DeltaGraph::extract_with_scalars`] straight
+//!   through the overlay.
 //!
 //! Which pages does a changed edge `(u, v)` influence? Extraction of a
 //! member set reads members' out-rows, members' in-rows, and the global
@@ -33,6 +38,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use approxrank_graph::{DiGraph, GraphView, NodeId, NodeSet, Subgraph, SubgraphSource};
@@ -183,6 +189,23 @@ struct Inner {
 }
 
 impl Inner {
+    /// Whether the base CSR alone is the current graph (no overlay rows,
+    /// no appended pages).
+    fn is_pristine(&self) -> bool {
+        self.fwd.is_empty() && self.num_nodes == self.base.num_nodes()
+    }
+
+    /// [`Subgraph::extract`] of the current graph: straight from the CSR
+    /// when nothing overlays it, through the merged rows otherwise —
+    /// bitwise the same subgraph either way.
+    fn extract(&self, nodes: NodeSet) -> Subgraph {
+        if self.is_pristine() {
+            Subgraph::extract(self.base.as_ref(), nodes)
+        } else {
+            Subgraph::extract(self, nodes)
+        }
+    }
+
     fn base_out_row(&self, u: NodeId) -> &[NodeId] {
         if (u as usize) < self.base.num_nodes() {
             self.base.out_neighbors(u)
@@ -292,6 +315,8 @@ impl GraphView for Inner {
 /// mutation batches take the write lock, making each batch atomic.
 pub struct DeltaGraph {
     inner: RwLock<Inner>,
+    /// Full CSR rebuilds performed (see [`DeltaGraph::materializations`]).
+    materializations: AtomicU64,
 }
 
 impl DeltaGraph {
@@ -315,6 +340,7 @@ impl DeltaGraph {
                 log: Vec::new(),
                 compacted: None,
             }),
+            materializations: AtomicU64::new(0),
         }
     }
 
@@ -541,12 +567,14 @@ impl DeltaGraph {
 
     /// A materialized CSR of the current state. Returns the base `Arc`
     /// untouched when the overlay is empty; otherwise builds (and caches,
-    /// per epoch) a compacted graph. Exact solvers run against this so
-    /// every ranking algorithm works on a mutated graph unchanged.
+    /// per epoch) a compacted graph, counted in
+    /// [`Self::materializations`]. Whole-graph solvers run against this
+    /// so they work on a mutated graph unchanged; Λ-collapse solves read
+    /// [`Self::extract_with_scalars`] instead and never pay for it.
     pub fn compacted(&self) -> Arc<DiGraph> {
         {
             let inner = self.read();
-            if inner.fwd.is_empty() && inner.num_nodes == inner.base.num_nodes() {
+            if inner.is_pristine() {
                 return Arc::clone(&inner.base);
             }
             if let Some((epoch, ref g)) = inner.compacted {
@@ -561,7 +589,7 @@ impl DeltaGraph {
                 return Arc::clone(g);
             }
         }
-        let g = Arc::new(Self::materialize(&inner));
+        let g = Arc::new(self.materialize(&inner));
         inner.compacted = Some((inner.epoch, Arc::clone(&g)));
         g
     }
@@ -571,10 +599,10 @@ impl DeltaGraph {
     /// afterwards run at plain CSR speed. Returns the new generation.
     pub fn compact(&self) -> u64 {
         let mut inner = self.write();
-        if !(inner.fwd.is_empty() && inner.num_nodes == inner.base.num_nodes()) {
+        if !inner.is_pristine() {
             let g = match inner.compacted.take() {
                 Some((epoch, g)) if epoch == inner.epoch => g,
-                _ => Arc::new(Self::materialize(&inner)),
+                _ => Arc::new(self.materialize(&inner)),
             };
             inner.base = g;
             inner.fwd.clear();
@@ -584,7 +612,25 @@ impl DeltaGraph {
         inner.generation
     }
 
-    fn materialize(inner: &Inner) -> DiGraph {
+    /// Full CSR rebuilds since load, by [`Self::compacted`] or
+    /// [`Self::compact`] — each one is O(E) under the write lock.
+    pub fn materializations(&self) -> u64 {
+        self.materializations.load(Ordering::Relaxed)
+    }
+
+    /// Extracts the induced subgraph of `members` (sorted, all below
+    /// the current page count) together with `N` and the dangling count,
+    /// all under one read lock: a concurrent batch can never tear the
+    /// three apart. These are everything a Λ-collapse solve reads, so
+    /// such solves never wait for (or trigger) a CSR rebuild.
+    pub fn extract_with_scalars(&self, members: &[NodeId]) -> (Subgraph, usize, usize) {
+        let inner = self.read();
+        let nodes = NodeSet::from_sorted(inner.num_nodes, members.iter().copied());
+        (inner.extract(nodes), inner.num_nodes, inner.num_dangling)
+    }
+
+    fn materialize(&self, inner: &Inner) -> DiGraph {
+        self.materializations.fetch_add(1, Ordering::Relaxed);
         let mut edges = Vec::with_capacity(inner.num_edges);
         for u in 0..inner.num_nodes as NodeId {
             inner.for_each_out(u, &mut |v| edges.push((u, v)));
@@ -635,8 +681,7 @@ impl SubgraphSource for DeltaGraph {
     fn extract_nodes(&self, nodes: NodeSet) -> Subgraph {
         // One read lock for the whole scan: extraction never observes a
         // half-applied batch.
-        let inner = self.read();
-        Subgraph::extract(&*inner, nodes)
+        self.read().extract(nodes)
     }
 }
 
@@ -761,6 +806,22 @@ mod tests {
         assert_matches_rebuild(&delta);
         // compacted() hands back the base Arc untouched.
         assert_eq!(delta.generation(), 0);
+        assert_eq!(delta.materializations(), 0);
+    }
+
+    #[test]
+    fn materializations_count_each_epoch_rebuild_once() {
+        let delta = delta_over_fig4();
+        delta.apply(&[(3, 5)], &[]).unwrap();
+        let first = delta.compacted();
+        assert!(Arc::ptr_eq(&first, &delta.compacted()), "cached per epoch");
+        assert_eq!(delta.materializations(), 1);
+        delta.apply(&[(6, 0)], &[]).unwrap();
+        delta.compact();
+        assert_eq!(delta.materializations(), 2);
+        // A compacted, clean overlay hands back the new base for free.
+        delta.compacted();
+        assert_eq!(delta.materializations(), 2);
     }
 
     #[test]
@@ -855,6 +916,10 @@ mod tests {
         let nodes = || NodeSet::from_sorted(7, [0u32, 1, 2, 3]);
         let via_delta = delta.extract_nodes(nodes());
         let direct = Subgraph::extract(&g, nodes());
+        let (snapshot, n, dangling) = delta.extract_with_scalars(&[0, 1, 2, 3]);
+        assert_eq!((n, dangling), (7, g.dangling_nodes().len()));
+        assert_eq!(snapshot.boundary().in_edges, direct.boundary().in_edges);
+        assert_eq!(delta.materializations(), 0, "overlay reads never rebuild");
         assert_eq!(via_delta.local_graph(), direct.local_graph());
         assert_eq!(via_delta.global_out_degrees(), direct.global_out_degrees());
         assert_eq!(

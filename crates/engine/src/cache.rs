@@ -8,6 +8,13 @@
 //!
 //! Entries store the *full* key, not just its hash — a 64-bit collision
 //! must never serve one subgraph's scores for another.
+//!
+//! A slot is identified by everything in a [`CacheKey`] *except* its
+//! graph epoch; the epoch is stored beside the value. A lookup at any
+//! other epoch misses, and an insert at a newer epoch replaces the
+//! superseded answer in place. Live mutation therefore never piles up
+//! unreachable answers in the LRU: a membership occupies at most one
+//! entry per (algorithm, options) however often it mutates.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -24,10 +31,11 @@ pub struct CacheKey {
     /// The graph epoch the answer was computed under (see
     /// [`approxrank_delta::DeltaGraph::effective_epoch`]): the max of the
     /// structural epoch and the page epochs of the member set. A mutation
-    /// that touches any member bumps this, so stale entries simply stop
-    /// being addressable and age out of the LRU — lazy invalidation,
-    /// counted by [`CacheStats::stale_evictions`] when they finally fall
-    /// out. Static (non-delta) engines pin it at 0.
+    /// that touches any member bumps this, so a stale entry stops
+    /// matching lookups — lazy invalidation — and the next insert for
+    /// the membership replaces it in place, counted by
+    /// [`CacheStats::stale_evictions`]. Not part of the slot identity.
+    /// Static (non-delta) engines pin it at 0.
     pub epoch: u64,
     /// `f64::to_bits` of the damping factor.
     pub damping_bits: u64,
@@ -41,6 +49,39 @@ pub struct CacheKey {
     /// Sorted, deduplicated member ids. `Arc` keeps key clones cheap —
     /// the key is cloned into the shard on insert.
     pub members: Arc<[u32]>,
+}
+
+/// A cache slot's identity: a [`CacheKey`] without its epoch.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct Slot {
+    algorithm: u8,
+    damping_bits: u64,
+    tolerance_bits: u64,
+    estimator_bits: u64,
+    members: Arc<[u32]>,
+}
+
+impl Slot {
+    fn of(key: &CacheKey) -> Slot {
+        Slot {
+            algorithm: key.algorithm,
+            damping_bits: key.damping_bits,
+            tolerance_bits: key.tolerance_bits,
+            estimator_bits: key.estimator_bits,
+            members: Arc::clone(&key.members),
+        }
+    }
+
+    fn at(&self, epoch: u64) -> CacheKey {
+        CacheKey {
+            algorithm: self.algorithm,
+            epoch,
+            damping_bits: self.damping_bits,
+            tolerance_bits: self.tolerance_bits,
+            estimator_bits: self.estimator_bits,
+            members: Arc::clone(&self.members),
+        }
+    }
 }
 
 /// A memoized ranking answer.
@@ -69,10 +110,10 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries displaced by LRU pressure.
     pub evictions: u64,
-    /// The subset of `evictions` whose key carried a stale graph epoch —
-    /// answers a mutation had already made unreachable. Together with
-    /// `evictions` this shows how much of the cache churn live mutation
-    /// causes.
+    /// Answers dropped because a mutation had superseded their graph
+    /// epoch: replaced in place by a newer answer for the same slot, or
+    /// displaced by LRU pressure while already stale. Shows how much of
+    /// the cache churn live mutation causes.
     pub stale_evictions: u64,
     /// Entries removed by explicit invalidation.
     pub invalidations: u64,
@@ -84,7 +125,8 @@ pub struct CacheStats {
 
 /// A fixed-shard LRU cache of ranking results.
 pub struct ShardedCache {
-    shards: Vec<Mutex<Lru<CacheKey, CachedResult>>>,
+    /// Each value carries the epoch it was computed under.
+    shards: Vec<Mutex<Lru<Slot, (u64, CachedResult)>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -113,19 +155,28 @@ impl ShardedCache {
         }
     }
 
-    fn shard_of(&self, key: &CacheKey) -> usize {
+    fn shard_of(&self, slot: &Slot) -> usize {
         let mut h = DefaultHasher::new();
-        key.hash(&mut h);
+        slot.hash(&mut h);
         (h.finish() as usize) % self.shards.len()
     }
 
-    fn lock_shard(&self, idx: usize) -> std::sync::MutexGuard<'_, Lru<CacheKey, CachedResult>> {
+    fn lock_shard(&self, slot: &Slot) -> std::sync::MutexGuard<'_, Lru<Slot, (u64, CachedResult)>> {
+        self.lock_index(self.shard_of(slot))
+    }
+
+    fn lock_index(&self, idx: usize) -> std::sync::MutexGuard<'_, Lru<Slot, (u64, CachedResult)>> {
         self.shards[idx].lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Looks up a key, updating recency and the hit/miss counters.
+    /// Looks up a key, updating recency and the hit/miss counters. An
+    /// entry stored under a different epoch is a miss.
     pub fn get(&self, key: &CacheKey) -> Option<CachedResult> {
-        let got = self.lock_shard(self.shard_of(key)).get(key).cloned();
+        let slot = Slot::of(key);
+        let got = match self.lock_shard(&slot).get(&slot) {
+            Some((epoch, value)) if *epoch == key.epoch => Some(value.clone()),
+            _ => None,
+        };
         match got {
             Some(v) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -138,16 +189,29 @@ impl ShardedCache {
         }
     }
 
-    /// Stores a result, possibly evicting the shard's LRU entry. The
-    /// displaced entry (if any) is returned so the engine can classify
-    /// the eviction — an entry keyed under a superseded graph epoch
-    /// counts as stale (see [`Self::record_stale_eviction`]).
+    /// Stores a result. An entry for the same slot under an older epoch
+    /// is replaced in place and counted as a stale eviction; one under a
+    /// newer epoch is kept (a slow solve finishing after a fresher one
+    /// must not roll the slot back). Otherwise the insert may evict the
+    /// shard's LRU entry, which is returned so the engine can classify
+    /// it — an entry under a superseded graph epoch counts as stale (see
+    /// [`Self::record_stale_eviction`]).
     pub fn insert(&self, key: CacheKey, value: CachedResult) -> Option<(CacheKey, CachedResult)> {
-        let evicted = self.lock_shard(self.shard_of(&key)).insert(key, value);
-        if evicted.is_some() {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+        let slot = Slot::of(&key);
+        let mut shard = self.lock_shard(&slot);
+        if let Some((epoch, stored)) = shard.get_mut(&slot) {
+            if *epoch < key.epoch {
+                self.stale_evictions.fetch_add(1, Ordering::Relaxed);
+            }
+            if *epoch <= key.epoch {
+                (*epoch, *stored) = (key.epoch, value);
+            }
+            return None;
         }
-        evicted
+        let evicted = shard.insert(slot, (key.epoch, value))?;
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+        let (slot, (epoch, value)) = evicted;
+        Some((slot.at(epoch), value))
     }
 
     /// Marks the most recent eviction as stale-epoch churn. Called by the
@@ -156,10 +220,17 @@ impl ShardedCache {
         self.stale_evictions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Drops the entry for `key`, if present. Sessions call this when a
-    /// membership they previously published mutates.
+    /// Drops the entry for `key`, if present at exactly `key.epoch` — an
+    /// entry under any other epoch is a different answer and stays.
+    /// Sessions call this when a membership they previously published
+    /// mutates.
     pub fn invalidate(&self, key: &CacheKey) -> bool {
-        let removed = self.lock_shard(self.shard_of(key)).remove(key).is_some();
+        let slot = Slot::of(key);
+        let mut shard = self.lock_shard(&slot);
+        let removed = match shard.get_mut(&slot) {
+            Some((epoch, _)) if *epoch == key.epoch => shard.remove(&slot).is_some(),
+            _ => false,
+        };
         if removed {
             self.invalidations.fetch_add(1, Ordering::Relaxed);
         }
@@ -173,8 +244,13 @@ impl ShardedCache {
     pub fn hot_entries(&self, limit: usize) -> Vec<(CacheKey, CachedResult)> {
         let mut per_shard: Vec<Vec<(CacheKey, CachedResult)>> = Vec::new();
         for idx in 0..self.shards.len() {
-            let shard = self.lock_shard(idx);
-            per_shard.push(shard.iter().map(|(k, v)| (k.clone(), v.clone())).collect());
+            let shard = self.lock_index(idx);
+            per_shard.push(
+                shard
+                    .iter()
+                    .map(|(slot, (epoch, value))| (slot.at(*epoch), value.clone()))
+                    .collect(),
+            );
         }
         let mut out = Vec::new();
         let mut rank = 0;
@@ -202,7 +278,7 @@ impl ShardedCache {
         let mut entries = 0;
         let mut capacity = 0;
         for idx in 0..self.shards.len() {
-            let shard = self.lock_shard(idx);
+            let shard = self.lock_index(idx);
             entries += shard.len();
             capacity += shard.capacity();
         }
@@ -324,6 +400,82 @@ mod tests {
         assert!(!cache.invalidate(&key));
         assert!(cache.get(&key).is_none());
         assert_eq!(cache.stats().invalidations, 1);
+    }
+
+    #[test]
+    fn one_membership_at_many_epochs_keeps_one_entry() {
+        let cache = ShardedCache::new(64);
+        for epoch in 0..10u64 {
+            cache.insert(
+                cache_key(0, 0.85, 1e-5, 0, epoch, &[1, 2, 3]),
+                result(epoch as usize),
+            );
+            assert_eq!(cache.stats().entries, 1, "epoch {epoch}");
+        }
+        let s = cache.stats();
+        // Each of the nine replacements retired a superseded answer; none
+        // of them was LRU pressure.
+        assert_eq!((s.stale_evictions, s.evictions), (9, 0));
+        let live = cache_key(0, 0.85, 1e-5, 0, 9, &[1, 2, 3]);
+        assert_eq!(cache.get(&live).unwrap().iterations, 9);
+    }
+
+    #[test]
+    fn lookup_at_any_other_epoch_misses() {
+        let cache = ShardedCache::new(64);
+        cache.insert(cache_key(0, 0.85, 1e-5, 0, 5, &[7, 8]), result(5));
+        for epoch in [0, 4, 6, 100] {
+            assert!(cache
+                .get(&cache_key(0, 0.85, 1e-5, 0, epoch, &[7, 8]))
+                .is_none());
+        }
+        assert!(cache
+            .get(&cache_key(0, 0.85, 1e-5, 0, 5, &[7, 8]))
+            .is_some());
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 4, 1));
+    }
+
+    #[test]
+    fn older_insert_never_rolls_a_slot_back() {
+        let cache = ShardedCache::new(64);
+        cache.insert(cache_key(0, 0.85, 1e-5, 0, 3, &[1]), result(3));
+        cache.insert(cache_key(0, 0.85, 1e-5, 0, 2, &[1]), result(2));
+        assert_eq!(
+            cache
+                .get(&cache_key(0, 0.85, 1e-5, 0, 3, &[1]))
+                .unwrap()
+                .iterations,
+            3
+        );
+        assert_eq!(cache.stats().stale_evictions, 0);
+    }
+
+    #[test]
+    fn invalidate_at_a_non_matching_epoch_removes_nothing() {
+        let cache = ShardedCache::new(64);
+        cache.insert(cache_key(0, 0.85, 1e-5, 0, 2, &[4, 5]), result(1));
+        for epoch in [1, 3] {
+            assert!(!cache.invalidate(&cache_key(0, 0.85, 1e-5, 0, epoch, &[4, 5])));
+        }
+        let s = cache.stats();
+        assert_eq!((s.entries, s.invalidations), (1, 0));
+        assert!(cache.invalidate(&cache_key(0, 0.85, 1e-5, 0, 2, &[4, 5])));
+        assert_eq!(cache.stats().entries, 0);
+    }
+
+    #[test]
+    fn hot_entries_keep_each_entry_epoch() {
+        let cache = ShardedCache::new(64);
+        let keys: Vec<CacheKey> = (0..5u32)
+            .map(|i| cache_key(0, 0.85, 1e-5, 0, u64::from(i) * 7, &[i, i + 1]))
+            .collect();
+        for (i, key) in keys.iter().enumerate() {
+            cache.insert(key.clone(), result(i));
+        }
+        let mut hot: Vec<CacheKey> = cache.hot_entries(16).into_iter().map(|(k, _)| k).collect();
+        hot.sort_by_key(|k| k.epoch);
+        assert_eq!(hot, keys);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use approxrank_core::baselines::{LocalPageRank, Lpr2};
 use approxrank_core::{
@@ -10,7 +10,7 @@ use approxrank_core::{
     SubgraphSession,
 };
 use approxrank_delta::{DeltaGraph, DeltaShardView, MutationSummary};
-use approxrank_graph::{DiGraph, NodeId, NodeSet, Shard, SubgraphSource};
+use approxrank_graph::{DiGraph, NodeId, NodeSet, Shard, Subgraph, SubgraphSource};
 use approxrank_pagerank::{pagerank, PageRankOptions};
 use approxrank_store::{FsyncPolicy, GraphMutationRecord, SessionStore, WalEvent};
 use approxrank_trace::{Observer, Stopwatch};
@@ -49,6 +49,9 @@ impl Default for EngineConfig {
     }
 }
 
+/// Global PageRank scores tagged with the graph they were computed on.
+type ScoresOn = (Weak<DiGraph>, Arc<Vec<f64>>);
+
 /// What the engine ranks over.
 pub(crate) enum Backend {
     /// The whole global graph behind a live mutation overlay: every
@@ -56,10 +59,12 @@ pub(crate) enum Backend {
     Global {
         /// The live graph: immutable CSR base plus delta overlay.
         delta: Arc<DeltaGraph>,
-        /// Global PageRank scores for IdealRank, tagged with the graph
-        /// epoch they were computed under — a mutation makes them
-        /// recompute lazily on the next IdealRank request.
-        global_scores: Mutex<Option<(u64, Arc<Vec<f64>>)>>,
+        /// Global PageRank scores for IdealRank, tagged with the
+        /// materialized graph they were computed on (see
+        /// [`global_scores_of`]). The tag is weak so retired graphs are
+        /// freed; it still pins the allocation, so a new graph can never
+        /// reuse its address.
+        global_scores: Mutex<Option<ScoresOn>>,
     },
     /// One static shard of a partitioned graph: ApproxRank and its
     /// estimators only; mutation is rejected.
@@ -341,6 +346,28 @@ pub(crate) fn options_for(damping: f64, tolerance: f64) -> PageRankOptions {
         .with_tolerance(tolerance)
 }
 
+/// Global PageRank scores of `graph` for IdealRank, computed once per
+/// materialized graph: a mutation makes [`DeltaGraph::compacted`] hand
+/// out a new graph, which retires the previous vector lazily.
+fn global_scores_of(
+    cache: &Mutex<Option<ScoresOn>>,
+    graph: &Arc<DiGraph>,
+    obs: &dyn Observer,
+) -> Arc<Vec<f64>> {
+    let tag = Arc::downgrade(graph);
+    if let Some((on, scores)) = &*cache.lock().unwrap_or_else(|e| e.into_inner()) {
+        if Weak::ptr_eq(on, &tag) {
+            return Arc::clone(scores);
+        }
+    }
+    let scores = {
+        let _span = obs.span("serve.global_pagerank");
+        Arc::new(pagerank(graph, &PageRankOptions::paper().with_tolerance(1e-10)).scores)
+    };
+    *cache.lock().unwrap_or_else(|e| e.into_inner()) = Some((tag, Arc::clone(&scores)));
+    scores
+}
+
 fn to_cached(members: &[u32], result: approxrank_core::RankScores) -> CachedResult {
     CachedResult {
         scores: Arc::new(
@@ -455,17 +482,6 @@ impl Engine {
         self.source().owns(node)
     }
 
-    /// The global graph at its current epoch, when this is a global
-    /// engine. Materialized through [`DeltaGraph::compacted`]: the
-    /// original CSR until the first mutation, then a per-epoch cached
-    /// merge.
-    pub fn graph(&self) -> Option<Arc<DiGraph>> {
-        match &self.backend {
-            Backend::Global { delta, .. } => Some(delta.compacted()),
-            Backend::Shard(_) | Backend::DeltaShard(_) => None,
-        }
-    }
-
     /// The shard id, when this is a shard engine.
     pub fn shard_id(&self) -> Option<u32> {
         match &self.backend {
@@ -486,43 +502,6 @@ impl Engine {
         self.cache.invalidate(key)
     }
 
-    /// Global PageRank scores for IdealRank, computed once per graph
-    /// epoch (a mutation retires the previous vector lazily).
-    fn global_scores(&self, obs: &dyn Observer) -> Result<Arc<Vec<f64>>, EngineError> {
-        match &self.backend {
-            Backend::Global {
-                delta,
-                global_scores,
-            } => {
-                let epoch = delta.epoch();
-                {
-                    let cached = global_scores.lock().unwrap_or_else(|e| e.into_inner());
-                    if let Some((e, scores)) = &*cached {
-                        if *e == epoch {
-                            return Ok(Arc::clone(scores));
-                        }
-                    }
-                }
-                let scores = {
-                    let _span = obs.span("serve.global_pagerank");
-                    Arc::new(
-                        pagerank(
-                            &delta.compacted(),
-                            &PageRankOptions::paper().with_tolerance(1e-10),
-                        )
-                        .scores,
-                    )
-                };
-                *global_scores.lock().unwrap_or_else(|e| e.into_inner()) =
-                    Some((epoch, Arc::clone(&scores)));
-                Ok(scores)
-            }
-            Backend::Shard(_) | Backend::DeltaShard(_) => Err(EngineError::BadRequest(
-                "idealrank is unavailable on a shard engine".into(),
-            )),
-        }
-    }
-
     fn check_owned(&self, members: &[u32]) -> Result<(), EngineError> {
         let shard_id = match &self.backend {
             Backend::Global { .. } => return Ok(()),
@@ -539,73 +518,46 @@ impl Engine {
         Ok(())
     }
 
-    /// Runs the cold solve exactly the way the CLI does — same
-    /// constructors, same entry points — so served scores match offline
-    /// scores bitwise. On a shard backend only ApproxRank is legal, and
-    /// the solve consumes the shard's view plus [`GlobalAggregates`]:
-    /// bit-identical to the global path for shard-resident members.
+    /// Extracts `members` through this engine's source together with
+    /// the two global scalars the Λ-collapse consumes. A live graph
+    /// reads all three under one lock, straight through its overlay —
+    /// no CSR rebuild, however recent the last mutation.
+    fn extract_aggregated(&self, members: &[u32]) -> (Subgraph, GlobalAggregates) {
+        let (subgraph, num_nodes, num_dangling) = match &self.backend {
+            Backend::Global { delta, .. } => delta.extract_with_scalars(members),
+            Backend::DeltaShard(view) => view.delta().extract_with_scalars(members),
+            Backend::Shard(shard) => {
+                let n = shard.global_nodes();
+                let nodes = NodeSet::from_sorted(n, members.iter().copied());
+                (shard.extract_nodes(nodes), n, shard.num_dangling())
+            }
+        };
+        let agg = GlobalAggregates {
+            num_nodes,
+            num_dangling,
+        };
+        (subgraph, agg)
+    }
+
+    /// Runs the cold solve with the same constructors and entry points
+    /// as the CLI, so served scores match offline scores bitwise. The
+    /// Λ-collapse family (ApproxRank and its `mc`/`push` estimators)
+    /// consumes only the subgraph and [`GlobalAggregates`], so it runs
+    /// on every backend through [`Self::extract_aggregated`] — bitwise
+    /// what a solve against the materialized graph would produce. The
+    /// other algorithms need the whole graph: global backend only, on
+    /// [`DeltaGraph::compacted`].
     fn solve_cold(
         &self,
         params: &RankRequest,
         obs: &dyn Observer,
     ) -> Result<CachedResult, EngineError> {
         let options = options_for(params.damping, params.tolerance);
-        match &self.backend {
-            Backend::Global { delta, .. } => {
-                let graph = delta.compacted();
-                let ranker: Box<dyn SubgraphRanker> = match params.algorithm {
-                    Algorithm::ApproxRank => Box::new(ApproxRank::new(options)),
-                    Algorithm::Local => Box::new(LocalPageRank::new(options)),
-                    Algorithm::Lpr2 => Box::new(Lpr2::new(options)),
-                    Algorithm::Sc => Box::new(StochasticComplementation {
-                        options,
-                        ..StochasticComplementation::default()
-                    }),
-                    Algorithm::IdealRank => Box::new(IdealRank {
-                        options,
-                        global_scores: self.global_scores(obs)?.as_ref().clone(),
-                    }),
-                    Algorithm::Mc => Box::new(McApproxRank {
-                        options,
-                        walks: params.estimator.walks,
-                        epsilon: params.estimator.epsilon,
-                        seed: params.estimator.seed,
-                    }),
-                    Algorithm::Push => Box::new(LocalPushRank {
-                        options,
-                        epsilon: params.estimator.epsilon,
-                    }),
-                };
-                let nodes = NodeSet::from_sorted(graph.num_nodes(), params.members.iter().copied());
-                let subgraph = approxrank_graph::Subgraph::extract(graph.as_ref(), nodes);
-                Ok(to_cached(
-                    &params.members,
-                    ranker.rank_observed(&graph, &subgraph, obs),
-                ))
-            }
-            Backend::Shard(_) | Backend::DeltaShard(_) => {
-                // The Λ-collapse algorithms are the ones whose global
-                // inputs reduce to two scalars — ApproxRank exactly, and
-                // both of its estimators.
-                if !matches!(
-                    params.algorithm,
-                    Algorithm::ApproxRank | Algorithm::Mc | Algorithm::Push
-                ) {
-                    return Err(EngineError::BadRequest(format!(
-                        "algorithm {:?} is unavailable on a shard engine (approxrank, mc, and push only)",
-                        params.algorithm.name()
-                    )));
-                }
+        let scores = match params.algorithm {
+            Algorithm::ApproxRank | Algorithm::Mc | Algorithm::Push => {
                 self.check_owned(&params.members)?;
-                let source: &dyn SubgraphSource = self.source();
-                let nodes =
-                    NodeSet::from_sorted(source.global_nodes(), params.members.iter().copied());
-                let subgraph = source.extract_nodes(nodes);
-                let agg = GlobalAggregates {
-                    num_nodes: source.global_nodes(),
-                    num_dangling: source.num_dangling(),
-                };
-                let scores = match params.algorithm {
+                let (subgraph, agg) = self.extract_aggregated(&params.members);
+                match params.algorithm {
                     Algorithm::Mc => McApproxRank {
                         options,
                         walks: params.estimator.walks,
@@ -620,10 +572,38 @@ impl Engine {
                     .rank_aggregated_observed(agg, &subgraph, obs),
                     _ => ApproxRank::new(options)
                         .rank_subgraph_aggregated_observed(agg, &subgraph, obs),
-                };
-                Ok(to_cached(&params.members, scores))
+                }
             }
-        }
+            Algorithm::IdealRank | Algorithm::Sc | Algorithm::Local | Algorithm::Lpr2 => {
+                let Backend::Global {
+                    delta,
+                    global_scores,
+                } = &self.backend
+                else {
+                    return Err(EngineError::BadRequest(format!(
+                        "algorithm {:?} is unavailable on a shard engine (approxrank, mc, and push only)",
+                        params.algorithm.name()
+                    )));
+                };
+                let graph = delta.compacted();
+                let ranker: Box<dyn SubgraphRanker> = match params.algorithm {
+                    Algorithm::IdealRank => Box::new(IdealRank {
+                        options,
+                        global_scores: global_scores_of(global_scores, &graph, obs),
+                    }),
+                    Algorithm::Sc => Box::new(StochasticComplementation {
+                        options,
+                        ..StochasticComplementation::default()
+                    }),
+                    Algorithm::Local => Box::new(LocalPageRank::new(options)),
+                    _ => Box::new(Lpr2::new(options)),
+                };
+                let nodes = NodeSet::from_sorted(graph.num_nodes(), params.members.iter().copied());
+                let subgraph = Subgraph::extract(graph.as_ref(), nodes);
+                ranker.rank_observed(&graph, &subgraph, obs)
+            }
+        };
+        Ok(to_cached(&params.members, scores))
     }
 
     /// Ranks a member list, serving from the cache when possible. Only
@@ -799,13 +779,7 @@ impl Engine {
         obs: &dyn Observer,
     ) -> Result<Vec<CachedResult>, EngineError> {
         let options = options_for(damping, tolerance);
-        let source: &dyn SubgraphSource = self.source();
-        let nodes = NodeSet::from_sorted(source.global_nodes(), members.iter().copied());
-        let subgraph = source.extract_nodes(nodes);
-        let agg = GlobalAggregates {
-            num_nodes: source.global_nodes(),
-            num_dangling: source.num_dangling(),
-        };
+        let (subgraph, agg) = self.extract_aggregated(members);
         let batch = ApproxRank::new(options)
             .rank_keyword_multi_aggregated_observed(agg, &subgraph, columns, obs);
         Ok(batch

@@ -60,10 +60,15 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
 
     /// Looks up `key`, marking it most recently used on a hit.
     pub fn get(&mut self, key: &K) -> Option<&V> {
+        self.get_mut(key).map(|v| &*v)
+    }
+
+    /// [`Self::get`] with mutable access to the value.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         let idx = *self.map.get(key)?;
         self.detach(idx);
         self.attach_front(idx);
-        self.slots[idx].as_ref().map(|s| &s.value)
+        self.slots[idx].as_mut().map(|s| &mut s.value)
     }
 
     /// Inserts (or replaces) `key`, marking it most recently used.

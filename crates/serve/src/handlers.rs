@@ -174,9 +174,11 @@ fn metrics(state: &AppState) -> Response {
         graph.nodes, graph.edges
     ));
     extra.push_str(&format!(
-        "approxrank_graph_epoch {}\napproxrank_graph_mutations_total {}\n",
+        "approxrank_graph_epoch {}\napproxrank_graph_mutations_total {}\n\
+         approxrank_delta_materializations_total {}\n",
         state.router.graph_epoch(),
-        state.router.graph_mutations()
+        state.router.graph_mutations(),
+        state.router.delta_materializations()
     ));
     extra.push_str(&format!(
         "approxrank_cache_hits_total {}\napproxrank_cache_misses_total {}\n\
@@ -1742,6 +1744,25 @@ mod tests {
         edges.sort_unstable();
         let fresh = AppState::new(DiGraph::from_edges(7, &edges), ServeConfig::default()).unwrap();
         assert_eq!(after, rank_rows(&fresh, rank_body));
+
+        // The approxrank read went through the overlay; only a
+        // whole-graph algorithm rebuilds the CSR, once per epoch.
+        let materializations = |state: &AppState| {
+            let (_, r) = route(state, &get("/metrics"));
+            let text = String::from_utf8(r.body).unwrap();
+            let line = text
+                .lines()
+                .find(|l| l.starts_with("approxrank_delta_materializations_total "))
+                .expect("materialization row")
+                .to_string();
+            line.rsplit(' ').next().unwrap().parse::<u64>().unwrap()
+        };
+        assert_eq!(materializations(&state), 0);
+        let ideal_body = r#"{"members":[0,1,2,3],"algorithm":"idealrank","tolerance":1e-8}"#;
+        let ideal = rank_rows(&state, ideal_body);
+        assert_eq!(materializations(&state), 1);
+        assert_eq!(ideal, rank_rows(&fresh, ideal_body));
+        assert_eq!(materializations(&state), 1);
     }
 
     #[test]

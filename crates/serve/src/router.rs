@@ -333,12 +333,6 @@ impl Router {
         }
     }
 
-    /// The global graph at its current epoch, in single mode (shard
-    /// engines hold only views).
-    pub fn graph(&self) -> Option<Arc<DiGraph>> {
-        self.local.first().and_then(|e| e.graph())
-    }
-
     /// The current graph epoch: read off the shared delta when there is
     /// one, otherwise (remote mode) asked of shard 0's replica set.
     pub fn graph_epoch(&self) -> u64 {
@@ -351,6 +345,13 @@ impl Router {
     /// Mutation batches accepted since boot.
     pub fn graph_mutations(&self) -> u64 {
         self.graph_mutations.load(Ordering::Relaxed)
+    }
+
+    /// Full CSR rebuilds of the shared live graph (0 in remote mode,
+    /// where each shard server owns its delta). Only whole-graph
+    /// algorithms materialize; Λ-collapse reads go through the overlay.
+    pub fn delta_materializations(&self) -> u64 {
+        self.delta.as_ref().map_or(0, |d| d.materializations())
     }
 
     /// Result-cache counters summed across every engine.

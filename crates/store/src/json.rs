@@ -156,6 +156,7 @@ fn emit_str(out: &mut String, s: &str) {
 /// Parses a JSON document. Trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -173,6 +174,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -292,12 +294,20 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Re-scan a full UTF-8 char from the byte position.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos - 1..])
-                        .map_err(|_| "invalid utf-8 in string")?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8() - 1;
+                    // Copy the run of plain characters up to the next
+                    // quote or escape in one slice. Both delimiters are
+                    // ASCII, which never occurs inside a multi-byte UTF-8
+                    // sequence, so the run ends on a char boundary — and
+                    // it starts on one, as every token before it is ASCII.
+                    let start = self.pos - 1;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(
+                        self.text
+                            .get(start..self.pos)
+                            .ok_or("invalid utf-8 in string")?,
+                    );
                 }
             }
         }
@@ -445,6 +455,41 @@ mod tests {
         assert_eq!(v.as_str(), Some("héllo → Λ"));
         let v = parse(r#""Aλ""#).unwrap();
         assert_eq!(v.as_str(), Some("Aλ"));
+    }
+
+    #[test]
+    fn multibyte_chars_at_every_string_position() {
+        // 2-, 3- and 4-byte UTF-8 sequences.
+        for c in ["é", "€", "𝄞"] {
+            for text in [
+                format!("{c}ab"),
+                format!("a{c}b"),
+                format!("ab{c}"),
+                c.to_string(),
+                format!("{c}{c}"),
+                format!("{c}\\n{c}"),
+            ] {
+                let doc = format!("\"{text}\"");
+                let want = text.replace("\\n", "\n");
+                assert_eq!(parse(&doc).unwrap().as_str(), Some(want.as_str()), "{doc}");
+            }
+        }
+    }
+
+    #[test]
+    fn string_followed_by_a_multibyte_key() {
+        let v = parse(r#"{"é":"ü€","𝄞":"Λ","a€":"x"}"#).unwrap();
+        assert_eq!(v.get("é").unwrap().as_str(), Some("ü€"));
+        assert_eq!(v.get("𝄞").unwrap().as_str(), Some("Λ"));
+        assert_eq!(v.get("a€").unwrap().as_str(), Some("x"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // Quadratic rescanning would take seconds here.
+        let long = "é".repeat(400_000) + &"a".repeat(400_000);
+        let doc = Json::Str(long.clone()).emit();
+        assert_eq!(parse(&doc).unwrap().as_str(), Some(long.as_str()));
     }
 
     /// Builds arbitrary [`Json`] trees deterministically from a word

@@ -71,7 +71,7 @@ fn main() {
     stale.push(0.0);
     let ideal = IdealRank {
         options: options.clone(),
-        global_scores: stale.clone(),
+        global_scores: stale.clone().into(),
     };
     let t0 = Instant::now();
     let estimate = ideal.rank_subgraph(&new_graph, &subgraph);

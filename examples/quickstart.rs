@@ -65,7 +65,7 @@ fn main() {
     let approx_scores = approx.rank(&global, &subgraph);
     let ideal = IdealRank {
         options: options.clone(),
-        global_scores: truth.scores.clone(),
+        global_scores: truth.scores.clone().into(),
     };
     let ideal_scores = ideal.rank(&global, &subgraph);
     let local_scores = LocalPageRank::new(options.clone()).rank(&global, &subgraph);

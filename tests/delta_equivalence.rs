@@ -6,7 +6,9 @@
 //! same adjacency order, same extracted subgraphs, and bitwise the same
 //! ApproxRank scores — before and after compaction. The property tests
 //! here drive random mutation batches against a `BTreeSet` edge model
-//! and check all of it; the deterministic tests pin the acceptance
+//! and check all of it — down to whole [`Engine`] answers served live
+//! from the overlay, which must never need a CSR rebuild for the
+//! Λ-collapse family. The deterministic tests pin the acceptance
 //! criteria for incremental repair (fewer re-walked sources, fewer
 //! invalidated cache entries than a full rebuild would cost).
 
@@ -15,7 +17,7 @@ use std::sync::Arc;
 
 use approxrank_core::{ApproxRank, GlobalAggregates};
 use approxrank_engine::{
-    Algorithm, DeltaGraph, Engine, EngineConfig, EstimatorOptions, RankRequest,
+    Algorithm, CachedResult, DeltaGraph, Engine, EngineConfig, EstimatorOptions, RankRequest,
 };
 use approxrank_graph::{DiGraph, GraphView, NodeSet, Subgraph};
 use approxrank_pagerank::PageRankOptions;
@@ -125,8 +127,83 @@ fn assert_same_scores(delta: &DeltaGraph, rebuilt: &DiGraph, members: &[u32]) {
     assert_eq!(a.iterations, b.iterations);
 }
 
+/// Two engine answers agree in every field, floats by bit pattern.
+fn assert_same_answer(live: &CachedResult, rebuilt: &CachedResult, what: &str) {
+    assert_eq!(live.scores.len(), rebuilt.scores.len(), "{what}");
+    for (&(pa, sa), &(pb, sb)) in live.scores.iter().zip(rebuilt.scores.iter()) {
+        assert_eq!(pa, pb, "{what}");
+        assert_eq!(sa.to_bits(), sb.to_bits(), "{what}: page {pa}");
+    }
+    assert_eq!(
+        live.lambda.map(f64::to_bits),
+        rebuilt.lambda.map(f64::to_bits),
+        "{what}"
+    );
+    assert_eq!(live.iterations, rebuilt.iterations, "{what}");
+    assert_eq!(live.converged, rebuilt.converged, "{what}");
+    // `Debug` prints each f64 in its shortest round-trip form, so equal
+    // text means equal bits.
+    assert_eq!(
+        format!("{:?}", live.estimate),
+        format!("{:?}", rebuilt.estimate),
+        "{what}"
+    );
+}
+
+fn rank_request(algorithm: Algorithm, members: Vec<u32>) -> RankRequest {
+    RankRequest {
+        members,
+        algorithm,
+        damping: 0.85,
+        tolerance: 1e-10,
+        estimator: EstimatorOptions::default(),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The serving read path: a global engine over the live delta answers
+    /// the Λ-collapse family (`approxrank`, `mc`, `push`) byte-identically
+    /// to an engine built over the rebuilt graph after every batch — node
+    /// appends and dangling flips included, cache hits included — and
+    /// never materializes a CSR to do it. One whole-graph read
+    /// (`idealrank`) then materializes the current epoch exactly once.
+    #[test]
+    fn live_engine_matches_an_engine_over_the_rebuilt_graph(
+        (n0, base_edges, batches) in base_strategy().prop_flat_map(|(n, es)| {
+            batches_strategy(n).prop_map(move |b| (n, es.clone(), b))
+        }),
+    ) {
+        let base = Arc::new(DiGraph::from_edges(n0, &base_edges));
+        let mut n = n0;
+        let mut edges: BTreeSet<(u32, u32)> = base.edges().collect();
+        let delta = Arc::new(DeltaGraph::new(Arc::clone(&base)));
+        let live = Engine::new_delta(Arc::clone(&delta), EngineConfig::default());
+        let obs = approxrank_trace::null();
+
+        for (insert, delete) in &batches {
+            live.mutate_graph(insert, delete, obs).expect("batch within ceiling");
+            model_apply(&mut n, &mut edges, insert, delete);
+            let rebuilt = Engine::new_global(Arc::new(rebuild(n, &edges)), EngineConfig::default());
+            for algorithm in [Algorithm::ApproxRank, Algorithm::Mc, Algorithm::Push] {
+                let request = rank_request(algorithm, sample_members(n));
+                let got = live.rank(&request, obs).expect("live read");
+                let want = rebuilt.rank(&request, obs).expect("rebuilt read");
+                assert_same_answer(&got.result, &want.result, algorithm.name());
+            }
+            prop_assert_eq!(delta.materializations(), 0, "Λ-collapse reads rebuilt the CSR");
+        }
+
+        let request = rank_request(Algorithm::IdealRank, sample_members(n));
+        let got = live.rank(&request, obs).expect("live idealrank");
+        let rebuilt = Engine::new_global(Arc::new(rebuild(n, &edges)), EngineConfig::default());
+        let want = rebuilt.rank(&request, obs).expect("rebuilt idealrank");
+        assert_same_answer(&got.result, &want.result, "idealrank");
+        // Batches that net out to the base graph need no rebuild at all.
+        let materialized = !Arc::ptr_eq(&delta.compacted(), &base);
+        prop_assert_eq!(delta.materializations(), u64::from(materialized));
+    }
 
     /// The tentpole equivalence: after every batch the overlay matches a
     /// from-scratch rebuild structurally, and at the end it matches on
@@ -256,16 +333,6 @@ fn ring(n: u32) -> DiGraph {
     DiGraph::from_edges(n as usize, &edges)
 }
 
-fn exact_request(members: Vec<u32>) -> RankRequest {
-    RankRequest {
-        members,
-        algorithm: Algorithm::ApproxRank,
-        damping: 0.85,
-        tolerance: 1e-10,
-        estimator: EstimatorOptions::default(),
-    }
-}
-
 /// Acceptance: one localized mutation must invalidate strictly fewer
 /// cache entries than a full rebuild (which drops all of them).
 #[test]
@@ -275,9 +342,9 @@ fn localized_mutation_invalidates_strictly_fewer_cache_entries() {
     let obs = approxrank_trace::null();
 
     // Warm three disjoint resident answers.
-    let near = exact_request((0..6).collect());
-    let mid = exact_request((20..26).collect());
-    let far = exact_request((40..46).collect());
+    let near = rank_request(Algorithm::ApproxRank, (0..6).collect());
+    let mid = rank_request(Algorithm::ApproxRank, (20..26).collect());
+    let far = rank_request(Algorithm::ApproxRank, (40..46).collect());
     for request in [&near, &mid, &far] {
         assert!(!engine.rank(request, obs).expect("cold solve").cached);
     }
@@ -304,13 +371,7 @@ fn localized_mutation_rewalks_strictly_fewer_sources() {
     let engine = Engine::new_delta(delta, EngineConfig::default());
     let obs = approxrank_trace::null();
 
-    let request = RankRequest {
-        members: (0..20).collect(),
-        algorithm: Algorithm::Mc,
-        damping: 0.85,
-        tolerance: 1e-10,
-        estimator: EstimatorOptions::default(),
-    };
+    let request = rank_request(Algorithm::Mc, (0..20).collect());
     let (_, cold) = engine.session_create(&request, obs).expect("create");
     let walked = cold.iterations;
     assert_eq!(walked, 20, "cold build walks every member source");

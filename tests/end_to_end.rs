@@ -35,7 +35,7 @@ fn all_rankers_run_and_order_sanely_on_a_domain() {
         Box::new(StochasticComplementation::default()),
         Box::new(IdealRank {
             options: options.clone(),
-            global_scores: truth.scores.clone(),
+            global_scores: truth.scores.clone().into(),
         }),
     ];
     let mut footrules = Vec::new();

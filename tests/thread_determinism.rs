@@ -128,7 +128,7 @@ fn rankers_are_bitwise_stable_across_widths() {
                     "idealrank",
                     Box::new(IdealRank {
                         options: options(threads),
-                        global_scores: truth.clone(),
+                        global_scores: truth.clone().into(),
                     }),
                 ),
                 (

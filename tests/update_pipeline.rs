@@ -56,7 +56,7 @@ fn evolve_then_update_pipeline() {
     // IdealRank with stale externals.
     let ideal = IdealRank {
         options: opts(),
-        global_scores: stale.clone(),
+        global_scores: stale.clone().into(),
     };
     let r_ideal = ideal.rank_subgraph(&evo.graph, &subgraph);
     let fr_ideal = footrule_from_scores(&r_ideal.local_scores, &truth_restricted);
