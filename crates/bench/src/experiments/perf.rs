@@ -15,8 +15,8 @@ use std::time::Duration;
 
 use approxrank_exec::Executor;
 use approxrank_pagerank::{
-    pagerank_gauss_seidel_red_black_on, pagerank_multi_observed_on,
-    pagerank_with_start_observed_on, PageRankOptions, PageRankResult,
+    pagerank_gauss_seidel_red_black_on, pagerank_with_start_observed_on, PageRankOptions,
+    PageRankResult,
 };
 
 use crate::datasets::{politics_dataset, DatasetScale};
@@ -35,10 +35,6 @@ const ITERATIONS: usize = 40;
 
 /// Timing repetitions per cell; the median is reported.
 const REPS: usize = 3;
-
-/// Column count for the batched-vs-singleton multi-vector comparison —
-/// the `--batch-columns`-style fan-in a loaded server would coalesce.
-const BATCH_COLUMNS: usize = 8;
 
 fn bench_options(threads: usize) -> PageRankOptions {
     // A tolerance no solver can reach pins every run at ITERATIONS
@@ -119,97 +115,6 @@ fn scaling_table(caption: &str, runs: &[Measurement]) -> (Table, bool) {
     (table, all_identical)
 }
 
-/// Times `BATCH_COLUMNS` distinct personalization vectors solved as one
-/// multi-vector pass versus sequentially as singletons, per thread
-/// width, and re-checks the batch's bitwise-identity contract on the
-/// spot. Fixed sweeps (the unreachable tolerance) keep every column at
-/// identical work, so the ratio isolates the amortized CSR traffic.
-fn batched_table(g: &approxrank_graph::DiGraph) -> (Table, bool) {
-    let n = g.num_nodes();
-    let personalizations: Vec<Vec<f64>> = (0..BATCH_COLUMNS as u64)
-        .map(|j| {
-            let w: Vec<f64> = (0..n as u64)
-                .map(|v| {
-                    ((j + 1).wrapping_mul(v.wrapping_mul(31).wrapping_add(17)) % 97 + 1) as f64
-                })
-                .collect();
-            let total: f64 = w.iter().sum();
-            w.into_iter().map(|x| x / total).collect()
-        })
-        .collect();
-    let mut table = Table::new(
-        format!(
-            "Batched multi-vector solve, {} columns, {} pages / {} edges, {} sweeps (median of {})",
-            BATCH_COLUMNS,
-            n,
-            g.num_edges(),
-            ITERATIONS,
-            REPS
-        ),
-        &[
-            "threads",
-            "singleton ms (sum)",
-            "batched ms",
-            "batch speedup",
-            "bitwise batch vs singleton",
-        ],
-    );
-    let mut all_identical = true;
-    for &threads in &WIDTHS {
-        let options = bench_options(threads);
-        let exec = Executor::new(threads);
-        let mut singleton_times = Vec::with_capacity(REPS);
-        let mut batched_times = Vec::with_capacity(REPS);
-        let mut singles: Vec<PageRankResult> = Vec::new();
-        let mut batch: Vec<PageRankResult> = Vec::new();
-        for _ in 0..REPS {
-            let t0 = std::time::Instant::now();
-            singles = personalizations
-                .iter()
-                .map(|p| {
-                    pagerank_with_start_observed_on(
-                        g,
-                        &options,
-                        p,
-                        p,
-                        approxrank_trace::null(),
-                        &exec,
-                    )
-                })
-                .collect();
-            singleton_times.push(t0.elapsed());
-            let t0 = std::time::Instant::now();
-            batch = pagerank_multi_observed_on(
-                g,
-                &options,
-                &personalizations,
-                &personalizations,
-                approxrank_trace::null(),
-                &exec,
-            );
-            batched_times.push(t0.elapsed());
-        }
-        let identical = batch.len() == singles.len()
-            && batch.iter().zip(&singles).all(|(b, s)| {
-                b.scores
-                    .iter()
-                    .zip(&s.scores)
-                    .all(|(x, y)| x.to_bits() == y.to_bits())
-            });
-        all_identical &= identical;
-        let singleton = median(singleton_times);
-        let batched = median(batched_times);
-        table.push_row(vec![
-            threads.to_string(),
-            fmt_ms(singleton),
-            fmt_ms(batched),
-            format!("{:.2}x", singleton.as_secs_f64() / batched.as_secs_f64()),
-            if identical { "identical" } else { "DIVERGED" }.to_string(),
-        ]);
-    }
-    (table, all_identical)
-}
-
 /// Runs the thread-scaling benchmark at the given dataset scale.
 pub fn run(scale: DatasetScale) -> ExperimentOutput {
     let data = politics_dataset(scale);
@@ -252,19 +157,17 @@ pub fn run(scale: DatasetScale) -> ExperimentOutput {
         &gs,
     );
 
-    let (batch_table, batch_ok) = batched_table(g);
-
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
     let mut out = ExperimentOutput {
-        tables: vec![power_table, gs_table, batch_table],
+        tables: vec![power_table, gs_table],
         notes: Vec::new(),
     };
     out.notes.push(format!(
         "host: {cores} hardware thread(s) available; speedup beyond that width is not physically possible"
     ));
-    out.notes.push(if power_ok && gs_ok && batch_ok {
+    out.notes.push(if power_ok && gs_ok {
         "determinism: every width produced bit-identical scores".to_string()
     } else {
         "DETERMINISM VIOLATION: some width diverged from the single-thread scores".to_string()
@@ -279,7 +182,7 @@ mod tests {
     #[test]
     fn produces_tables_and_stays_deterministic() {
         let out = run(DatasetScale(0.05));
-        assert_eq!(out.tables.len(), 3);
+        assert_eq!(out.tables.len(), 2);
         for t in &out.tables {
             assert_eq!(t.rows.len(), WIDTHS.len());
         }

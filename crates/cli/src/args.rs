@@ -250,11 +250,6 @@ pub struct ServeArgs {
     pub rpc_backoff_ms: u64,
     /// Replica health-probe cadence in milliseconds (0 disables).
     pub rpc_health_interval_ms: u64,
-    /// Batch-scheduler gather window in milliseconds (0 disables
-    /// keyword coalescing; requests solve immediately).
-    pub batch_window_ms: u64,
-    /// Most personalization columns one multi-vector solve carries.
-    pub batch_columns: usize,
     /// Per-tenant concurrent `POST` admission quota (0 = no admission
     /// control, the default).
     pub tenant_quota: usize,
@@ -368,7 +363,6 @@ pub const USAGE: &str = "usage:
                  [--remote-shard ADDR[,ADDR...]]...    (route to remote shards, one flag per shard)
                  [--rpc-timeout-ms 10000] [--rpc-connect-timeout-ms 1000]
                  [--rpc-attempts 3] [--rpc-backoff-ms 50] [--rpc-health-interval-ms 1000]
-                 [--batch-window-ms 2] [--batch-columns 32]  (keyword coalescing)
                  [--tenant-quota N] [--tenant-queue 16]      (per-tenant admission)
                  [--labels FILE]                             (page labels for /keyword)
   subrank partition --graph FILE --shards N [--partition range|scc|hash] --out DIR";
@@ -624,8 +618,6 @@ impl Cli {
                     rpc_attempts: opts.numeric("rpc-attempts", 3u32)?,
                     rpc_backoff_ms: opts.numeric("rpc-backoff-ms", 50u64)?,
                     rpc_health_interval_ms: opts.numeric("rpc-health-interval-ms", 1_000u64)?,
-                    batch_window_ms: opts.numeric("batch-window-ms", 2u64)?,
-                    batch_columns: opts.numeric("batch-columns", 32usize)?,
                     tenant_quota: opts.numeric("tenant-quota", 0usize)?,
                     tenant_queue: opts.numeric("tenant-queue", 16usize)?,
                     labels: opts.take("labels"),
@@ -644,9 +636,6 @@ impl Cli {
                 }
                 if args.rpc_attempts == 0 {
                     return Err("--rpc-attempts must be at least 1".into());
-                }
-                if args.batch_columns == 0 {
-                    return Err("--batch-columns must be at least 1".into());
                 }
                 if let Some(k) = args.shard_server {
                     if args.shards < 2 {
@@ -994,8 +983,6 @@ mod tests {
         assert_eq!(a.shards, 1);
         assert_eq!(a.partition, PartitionStrategy::Range);
         assert_eq!(a.slow_ms, None);
-        assert_eq!(a.batch_window_ms, 2);
-        assert_eq!(a.batch_columns, 32);
         assert_eq!(a.tenant_quota, 0);
         assert_eq!(a.tenant_queue, 16);
         assert_eq!(a.labels, None);
@@ -1182,25 +1169,21 @@ mod tests {
     }
 
     #[test]
-    fn parses_serve_batch_and_tenant_flags() {
+    fn parses_serve_tenant_flags() {
         let cli = Cli::parse(&argv(
-            "serve --graph g --batch-window-ms 5 --batch-columns 8 \
-             --tenant-quota 4 --tenant-queue 32 --labels pages.txt",
+            "serve --graph g --tenant-quota 4 --tenant-queue 32 --labels pages.txt",
         ))
         .unwrap();
         let Command::Serve(a) = cli.command else {
             panic!()
         };
-        assert_eq!(a.batch_window_ms, 5);
-        assert_eq!(a.batch_columns, 8);
         assert_eq!(a.tenant_quota, 4);
         assert_eq!(a.tenant_queue, 32);
         assert_eq!(a.labels.as_deref(), Some("pages.txt"));
-        // A zero window is meaningful (coalescing off); zero columns is not.
-        assert!(Cli::parse(&argv("serve --graph g --batch-window-ms 0")).is_ok());
-        assert!(Cli::parse(&argv("serve --graph g --batch-columns 0"))
-            .unwrap_err()
-            .contains("--batch-columns"));
+        // Removed flags are rejected, never silently ignored.
+        for flag in ["--batch-window-ms 2", "--batch-columns 8"] {
+            assert!(Cli::parse(&argv(&format!("serve --graph g {flag}"))).is_err());
+        }
     }
 
     #[test]

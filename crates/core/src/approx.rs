@@ -175,7 +175,13 @@ impl ApproxRank {
             let pre = GlobalPrecomputation::compute(global);
             self.extended_graph_precomputed_on(&pre, subgraph, &exec)
         };
-        let scores = Self::solve_scores(&ext, &self.options, subgraph.len(), obs);
+        let scores = Self::solve_scores(
+            &ext,
+            &self.options,
+            &ext.personalization(),
+            subgraph.len(),
+            obs,
+        );
         emit_exec_stats(&exec, obs);
         scores
     }
@@ -201,7 +207,13 @@ impl ApproxRank {
             let _span = obs.span("collapse_lambda");
             self.extended_graph_precomputed_on(pre, subgraph, &exec)
         };
-        let scores = Self::solve_scores(&ext, &self.options, subgraph.len(), obs);
+        let scores = Self::solve_scores(
+            &ext,
+            &self.options,
+            &ext.personalization(),
+            subgraph.len(),
+            obs,
+        );
         emit_exec_stats(&exec, obs);
         scores
     }
@@ -227,117 +239,59 @@ impl ApproxRank {
             let _span = obs.span("collapse_lambda");
             self.extended_graph_aggregated_on(agg, subgraph, &exec)
         };
-        let scores = Self::solve_scores(&ext, &self.options, subgraph.len(), obs);
+        let scores = Self::solve_scores(
+            &ext,
+            &self.options,
+            &ext.personalization(),
+            subgraph.len(),
+            obs,
+        );
         emit_exec_stats(&exec, obs);
         scores
     }
 
-    /// Runs a *batch* of (optionally personalized) ApproxRank queries
-    /// over one collapsed structure built from shard-carried aggregates.
-    /// The Λ-row assembly and every CSR sweep are shared across the
-    /// batch, while each answer is bit-identical to the singleton
-    /// aggregated path with the same personalization: column `j` with
-    /// `None` reproduces [`Self::rank_subgraph_aggregated_observed`],
-    /// and a `Some(p)` column reproduces a
-    /// [`ExtendedLocalGraph::solve_personalized`] on `p` (the keyword
-    /// entry — see
-    /// [`ExtendedLocalGraph::collapse_sparse_personalization`]).
+    /// One *keyword* query over a subgraph: the personalization
+    /// teleports uniformly into the base set (ObjectRank-style, `1/|B|`
+    /// per base page; base pages outside the subgraph contribute their
+    /// share to `Λ` — see
+    /// [`ExtendedLocalGraph::collapse_sparse_personalization`]), solved
+    /// with [`ExtendedLocalGraph::solve_personalized_observed`] on the
+    /// Λ-collapse built from shard-carried aggregates. Theorem 1 holds
+    /// for any teleport vector, so this is the whole keyword path.
     ///
-    /// `None` means the paper's default Equation (5) vector. Each
-    /// `Some` vector must already be collapsed to length `n + 1`.
-    pub fn rank_subgraph_multi_aggregated_observed(
+    /// # Panics
+    /// Panics if `base` is empty, not strictly sorted, or reaches past
+    /// the global graph.
+    pub fn rank_keyword_aggregated_observed(
         &self,
         agg: GlobalAggregates,
         subgraph: &Subgraph,
-        personalizations: &[Option<Vec<f64>>],
+        base: &[u32],
         obs: &dyn Observer,
-    ) -> Vec<RankScores> {
+    ) -> RankScores {
+        assert!(!base.is_empty(), "keyword base set must be non-empty");
         let exec = self.executor(subgraph);
         let ext = {
             let _span = obs.span("collapse_lambda");
             self.extended_graph_aggregated_on(agg, subgraph, &exec)
         };
-        let ps: Vec<Vec<f64>> = personalizations
-            .iter()
-            .map(|p| p.clone().unwrap_or_else(|| ext.personalization()))
-            .collect();
-        let results = ext.solve_multi(&self.options, &ps, obs);
+        let p =
+            ext.collapse_sparse_personalization(subgraph.nodes(), base, 1.0 / base.len() as f64);
+        let scores = Self::solve_scores(&ext, &self.options, &p, subgraph.len(), obs);
         emit_exec_stats(&exec, obs);
-        let n = subgraph.len();
-        results
-            .into_iter()
-            .map(|result| {
-                let mut scores = result.scores;
-                let lambda = scores.pop().expect("n+1 states");
-                debug_assert_eq!(scores.len(), n);
-                RankScores {
-                    local_scores: scores,
-                    lambda_score: Some(lambda),
-                    iterations: result.iterations,
-                    converged: result.converged,
-                    estimate: None,
-                }
-            })
-            .collect()
+        scores
     }
 
-    /// A batch of *keyword* queries over one subgraph: each base set
-    /// becomes a column whose personalization teleports uniformly into
-    /// the base (ObjectRank-style, `1/|B|` per base page; base pages
-    /// outside the subgraph contribute their share to `Λ` — see
-    /// [`ExtendedLocalGraph::collapse_sparse_personalization`]). One
-    /// Λ-collapse and one CSR walk per iteration serve every column,
-    /// and each column is bit-identical to a singleton personalized
-    /// solve of the same base set.
-    ///
-    /// Every base set must be strictly sorted, non-empty, and within the
-    /// global graph.
-    pub fn rank_keyword_multi_aggregated_observed(
-        &self,
-        agg: GlobalAggregates,
-        subgraph: &Subgraph,
-        bases: &[Vec<u32>],
-        obs: &dyn Observer,
-    ) -> Vec<RankScores> {
-        let exec = self.executor(subgraph);
-        let ext = {
-            let _span = obs.span("collapse_lambda");
-            self.extended_graph_aggregated_on(agg, subgraph, &exec)
-        };
-        let ps: Vec<Vec<f64>> = bases
-            .iter()
-            .map(|base| {
-                assert!(!base.is_empty(), "keyword base set must be non-empty");
-                ext.collapse_sparse_personalization(subgraph.nodes(), base, 1.0 / base.len() as f64)
-            })
-            .collect();
-        let results = ext.solve_multi(&self.options, &ps, obs);
-        emit_exec_stats(&exec, obs);
-        let n = subgraph.len();
-        results
-            .into_iter()
-            .map(|result| {
-                let mut scores = result.scores;
-                let lambda = scores.pop().expect("n+1 states");
-                debug_assert_eq!(scores.len(), n);
-                RankScores {
-                    local_scores: scores,
-                    lambda_score: Some(lambda),
-                    iterations: result.iterations,
-                    converged: result.converged,
-                    estimate: None,
-                }
-            })
-            .collect()
-    }
-
+    /// Solves `ext` under the collapsed personalization `p` and splits
+    /// off `Λ`'s score.
     fn solve_scores(
         ext: &ExtendedLocalGraph,
         options: &PageRankOptions,
+        p: &[f64],
         n: usize,
         obs: &dyn Observer,
     ) -> RankScores {
-        let result = ext.solve_observed(options, obs);
+        let result = ext.solve_personalized_observed(options, p, obs);
         let _span = obs.span("normalize");
         let mut scores = result.scores;
         let lambda = scores.pop().expect("n+1 states");
@@ -467,40 +421,6 @@ mod tests {
         let a = approx.rank_subgraph(&g, &sub);
         let b = approx.rank_subgraph_aggregated(GlobalAggregates::compute(&g), &sub);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn multi_aggregated_batch_matches_singletons_bitwise() {
-        // The batch-serving contract: a batched column answers exactly
-        // what the singleton aggregated path answers — default and
-        // keyword-personalized columns alike.
-        let g = figure4();
-        let sub = Subgraph::extract(&g, NodeSet::from_sorted(7, [0, 1, 2, 3]));
-        let approx = ApproxRank::new(tight());
-        let agg = GlobalAggregates::compute(&g);
-        let ext = approx.extended_graph_aggregated(agg, &sub);
-        // Base set {2, 3, 5}: a keyword query whose base straddles the
-        // subgraph boundary.
-        let kw = ext.collapse_sparse_personalization(sub.nodes(), &[2, 3, 5], 1.0 / 3.0);
-        let batch = approx.rank_subgraph_multi_aggregated_observed(
-            agg,
-            &sub,
-            &[None, Some(kw.clone()), None],
-            approxrank_trace::null(),
-        );
-        assert_eq!(batch.len(), 3);
-        let default_single = approx.rank_subgraph_aggregated(agg, &sub);
-        assert_eq!(batch[0], default_single);
-        assert_eq!(batch[2], default_single);
-        let kw_single = ext.solve_personalized(&tight(), &kw);
-        for (a, b) in batch[1].local_scores.iter().zip(&kw_single.scores) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(
-            batch[1].lambda_score.unwrap().to_bits(),
-            kw_single.scores[sub.len()].to_bits()
-        );
-        assert_eq!(batch[1].iterations, kw_single.iterations);
     }
 
     #[test]

@@ -489,174 +489,6 @@ impl ExtendedLocalGraph {
         )
     }
 
-    /// One application of `εA_xᵀ + (1−ε)p_j` to every active column of an
-    /// interleaved multi-vector (`x[s * k + j]` is column `j`'s entry for
-    /// state `s`; states run `0..=n`, state `n` is `Λ`). One walk of the
-    /// local in-edge CSR feeds all columns — the batching amortization —
-    /// while each column's floating-point sequence is exactly what
-    /// [`Self::step_with`] would produce for it alone.
-    fn step_multi(
-        &self,
-        x: &[f64],
-        out: &mut [f64],
-        damping: f64,
-        ps: &[Vec<f64>],
-        cols: &[usize],
-        dangling_mass: &mut [f64],
-    ) {
-        let n = self.n;
-        let k = ps.len();
-        debug_assert_eq!(x.len(), (n + 1) * k);
-        debug_assert_eq!(out.len(), (n + 1) * k);
-        let inv_big_n = 1.0 / self.big_n as f64;
-        let ext = (self.big_n - n) as f64;
-        for &j in cols {
-            dangling_mass[j] = self
-                .dangling_local
-                .iter()
-                .map(|&i| x[i as usize * k + j])
-                .sum();
-        }
-        let lambda_base = n * k;
-        let mut acc = vec![0.0f64; k];
-        #[allow(clippy::needless_range_loop)] // t walks four arrays at once
-        for t in 0..n {
-            for &j in cols {
-                acc[j] = 0.0;
-            }
-            for idx in self.in_offsets[t]..self.in_offsets[t + 1] {
-                let sb = self.in_sources[idx] as usize * k;
-                let w = self.in_weights[idx];
-                for &j in cols {
-                    acc[j] += x[sb + j] * w;
-                }
-            }
-            let tb = t * k;
-            for &j in cols {
-                let mut a = acc[j];
-                a += dangling_mass[j] * inv_big_n;
-                a += x[lambda_base + j] * self.from_lambda[t];
-                out[tb + j] = damping * a + (1.0 - damping) * ps[j][t];
-            }
-        }
-        for &j in cols {
-            let mut lacc = x[lambda_base + j] * self.lambda_self;
-            for (t, tl) in self.to_lambda.iter().enumerate() {
-                lacc += x[t * k + j] * tl;
-            }
-            lacc += dangling_mass[j] * ext * inv_big_n;
-            out[lambda_base + j] = damping * lacc + (1.0 - damping) * ps[j][n];
-        }
-    }
-
-    /// Solves k personalized systems over *one* collapsed structure: each
-    /// column `j` is the fixed point of `R = εA_xᵀR + (1−ε)p_j`, started
-    /// from `p_j` — exactly what k calls of [`Self::solve_personalized`]
-    /// compute, bit for bit, but sharing the Λ-row construction and one
-    /// CSR walk per iteration across the batch. Columns converge
-    /// independently: a finished column's scores are captured and it
-    /// drops out of later sweeps.
-    ///
-    /// Every `personalizations[j]` is a collapsed vector of length
-    /// `n + 1` (see [`Self::collapse_personalization`]).
-    pub fn solve_multi(
-        &self,
-        options: &PageRankOptions,
-        personalizations: &[Vec<f64>],
-        obs: &dyn Observer,
-    ) -> Vec<PageRankResult> {
-        let n = self.n;
-        let k = personalizations.len();
-        for (j, p) in personalizations.iter().enumerate() {
-            assert_eq!(p.len(), n + 1, "personalization {j} length");
-        }
-        let t0 = Instant::now();
-        if k == 0 {
-            return Vec::new();
-        }
-        let _span = obs.span("extended_multi");
-        obs.counter("multi_columns", k as u64);
-        let mut sweep = Stopwatch::start(obs);
-        // Interleaved layout, column j of state s at [s * k + j].
-        let mut x = vec![0.0f64; (n + 1) * k];
-        for (j, p) in personalizations.iter().enumerate() {
-            for (s, &v) in p.iter().enumerate() {
-                x[s * k + j] = v;
-            }
-        }
-        let mut next = vec![0.0f64; (n + 1) * k];
-        let mut dangling = vec![0.0f64; k];
-        let mut active: Vec<usize> = (0..k).collect();
-        let mut residuals: Vec<Vec<f64>> = vec![Vec::new(); k];
-        let mut finished: Vec<Option<PageRankResult>> = (0..k).map(|_| None).collect();
-        let mut iterations = 0;
-        let column_of =
-            |flat: &[f64], j: usize| -> Vec<f64> { (0..=n).map(|s| flat[s * k + j]).collect() };
-        while iterations < options.max_iterations && !active.is_empty() {
-            iterations += 1;
-            self.step_multi(
-                &x,
-                &mut next,
-                options.damping,
-                personalizations,
-                &active,
-                &mut dangling,
-            );
-            // Per-column L1 residual, summed in state order — the same
-            // order `solve_from_with` sums its scalar residual.
-            let mut delta = vec![0.0f64; k];
-            for s in 0..=n {
-                let base = s * k;
-                for &j in &active {
-                    delta[j] += (next[base + j] - x[base + j]).abs();
-                }
-            }
-            std::mem::swap(&mut x, &mut next);
-            if obs.enabled() {
-                let worst = active.iter().map(|&j| delta[j]).fold(0.0f64, f64::max);
-                obs.iteration(IterationEvent {
-                    solver: "extended_multi",
-                    iteration: iterations - 1,
-                    residual: worst,
-                    dangling_mass: active.iter().map(|&j| dangling[j]).sum(),
-                    elapsed_ns: sweep.lap_ns(),
-                });
-            }
-            let mut still = Vec::with_capacity(active.len());
-            for &j in &active {
-                if options.record_residuals {
-                    residuals[j].push(delta[j]);
-                }
-                if delta[j] < options.tolerance {
-                    // Capture now: a later swap would clobber this lane.
-                    finished[j] = Some(PageRankResult {
-                        scores: column_of(&x, j),
-                        iterations,
-                        converged: true,
-                        residuals: std::mem::take(&mut residuals[j]),
-                        elapsed: t0.elapsed(),
-                    });
-                } else {
-                    still.push(j);
-                }
-            }
-            active = still;
-        }
-        for &j in &active {
-            finished[j] = Some(PageRankResult {
-                scores: column_of(&x, j),
-                iterations,
-                converged: false,
-                residuals: std::mem::take(&mut residuals[j]),
-                elapsed: t0.elapsed(),
-            });
-        }
-        finished
-            .into_iter()
-            .map(|r| r.expect("every column finished"))
-            .collect()
-    }
-
     fn solve_from_with(
         &self,
         options: &PageRankOptions,
@@ -870,52 +702,6 @@ mod tests {
                 "threads={threads}"
             );
         }
-    }
-
-    #[test]
-    fn solve_multi_bitwise_matches_sequential_singletons() {
-        // k personalized solves batched through one structure must be,
-        // column by column, the exact bits k singleton solves produce —
-        // including iteration counts (columns drop out independently).
-        let n_total = 300u32;
-        let mut edges = Vec::new();
-        for i in 0..n_total {
-            if i % 11 == 4 {
-                continue; // dangling
-            }
-            edges.push((i, (i + 1) % n_total));
-            edges.push((i, (i * 29 + 5) % n_total));
-        }
-        let g = DiGraph::from_edges(n_total as usize, &edges);
-        let sub = Subgraph::extract(&g, NodeSet::from_sorted(n_total as usize, 0..180u32));
-        let ext = crate::ApproxRank::default().extended_graph(&g, &sub);
-        let n = ext.num_local();
-        let opts = PageRankOptions::paper().with_tolerance(1e-10);
-        // Column 0: the default Eq. 5 vector; others: skewed teleports.
-        let mut ps = vec![ext.personalization()];
-        for j in 1..4usize {
-            let mut p = vec![0.3 / (n + 1) as f64; n + 1];
-            p[(j * 37) % n] += 0.4;
-            let rest: f64 = p[..n].iter().sum();
-            p[n] = 1.0 - rest;
-            ps.push(p);
-        }
-        let batch = ext.solve_multi(&opts, &ps, approxrank_trace::null());
-        assert_eq!(batch.len(), ps.len());
-        let mut iteration_counts = std::collections::BTreeSet::new();
-        for (j, p) in ps.iter().enumerate() {
-            let single = ext.solve_personalized(&opts, p);
-            assert_eq!(single.iterations, batch[j].iterations, "column {j}");
-            assert_eq!(single.converged, batch[j].converged);
-            iteration_counts.insert(single.iterations);
-            for (a, b) in single.scores.iter().zip(&batch[j].scores) {
-                assert_eq!(a.to_bits(), b.to_bits(), "column {j}");
-            }
-        }
-        assert!(
-            iteration_counts.len() > 1,
-            "fixture should exercise independent drop-out, got {iteration_counts:?}"
-        );
     }
 
     #[test]

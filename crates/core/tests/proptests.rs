@@ -103,58 +103,41 @@ proptest! {
         prop_assert_eq!(a1, a2);
     }
 
-    /// The batched keyword contract one layer up from the raw power
-    /// iteration: a k-base-set multi-column keyword solve over one
-    /// Λ-collapse answers every column bitwise identically to k
-    /// one-column solves — on random graphs, random memberships, and
-    /// random base sets. This is the identity the engine's batch
-    /// scheduler relies on when it coalesces concurrent `/keyword`
-    /// requests.
+    /// The keyword serving contract: the path the engine runs —
+    /// [`GlobalAggregates`](approxrank_core::GlobalAggregates) →
+    /// `rank_keyword_aggregated_observed` — answers bitwise what the
+    /// full-graph Λ-collapse answers for the same sparse base-set
+    /// personalization, on random graphs, memberships, and base sets
+    /// (base pages outside the membership teleport into Λ).
     #[test]
-    fn keyword_batch_is_bitwise_singleton(
-        (g, set) in graph_and_subgraph(),
-        k in 1usize..4,
-        seed in 1u64..1_000_000,
+    fn keyword_path_is_bitwise_full_graph_solve(
+        (g, set, base) in graph_and_subgraph().prop_flat_map(|(g, set)| {
+            let n = g.num_nodes() as u32;
+            let base = proptest::collection::vec(0u32..n, 1..6).prop_map(|mut b| {
+                b.sort_unstable();
+                b.dedup();
+                b
+            });
+            (Just(g), Just(set), base)
+        }),
     ) {
         use approxrank_core::GlobalAggregates;
-        let n = g.num_nodes() as u64;
         let sub = Subgraph::extract(&g, set);
-        // k deterministic base sets over the *global* graph (base pages
-        // outside the membership teleport into Λ).
-        let bases: Vec<Vec<u32>> = (0..k as u64)
-            .map(|j| {
-                let mut base: Vec<u32> = (0..=(seed.wrapping_mul(j + 1) % 4))
-                    .map(|i| ((seed.wrapping_add(i * 13 + j * 31)) % n) as u32)
-                    .collect();
-                base.sort_unstable();
-                base.dedup();
-                base
-            })
-            .collect();
-        let agg = GlobalAggregates::compute(&g);
         let ranker = ApproxRank::new(tight());
-        let batch = ranker.rank_keyword_multi_aggregated_observed(
-            agg, &sub, &bases, approxrank_trace::null(),
+        let served = ranker.rank_keyword_aggregated_observed(
+            GlobalAggregates::compute(&g), &sub, &base, approxrank_trace::null(),
         );
-        prop_assert_eq!(batch.len(), k);
-        for (j, base) in bases.iter().enumerate() {
-            let single = ranker.rank_keyword_multi_aggregated_observed(
-                agg, &sub, std::slice::from_ref(base), approxrank_trace::null(),
-            );
-            prop_assert_eq!(single.len(), 1);
-            prop_assert_eq!(batch[j].iterations, single[0].iterations, "column {}", j);
-            prop_assert_eq!(
-                batch[j].lambda_score.unwrap().to_bits(),
-                single[0].lambda_score.unwrap().to_bits()
-            );
-            for (v, (a, b)) in batch[j]
-                .local_scores
-                .iter()
-                .zip(&single[0].local_scores)
-                .enumerate()
-            {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "column {} node {}: {} vs {}", j, v, a, b);
-            }
+        let ext = ranker.extended_graph(&g, &sub);
+        let p = ext.collapse_sparse_personalization(sub.nodes(), &base, 1.0 / base.len() as f64);
+        let full = ext.solve_personalized(&tight(), &p);
+        prop_assert_eq!(served.iterations, full.iterations);
+        prop_assert_eq!(served.converged, full.converged);
+        prop_assert_eq!(
+            served.lambda_score.unwrap().to_bits(),
+            full.scores[sub.len()].to_bits()
+        );
+        for (v, (a, b)) in served.local_scores.iter().zip(&full.scores).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "node {}: {} vs {}", v, a, b);
         }
     }
 }

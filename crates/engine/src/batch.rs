@@ -1,82 +1,63 @@
-//! The `BatchScheduler`: request coalescing for the engine's cold path.
+//! In-flight dedup for the engine's cold path.
 //!
-//! Two cooperating mechanisms, both keyed on *what the solve reads* so
-//! sharing is always bit-safe:
+//! Concurrent requests with the same key coalesce onto one solve: the
+//! first arrival leads and solves, the rest wait on the flight and
+//! receive the leader's [`CachedResult`] verbatim. Keys pin *everything
+//! the solve reads* — `/rank` uses the [`CacheKey`] (algorithm, options,
+//! membership, effective graph epoch), keyword queries a [`KeywordKey`]
+//! (the same plus the base set) — so a follower's answer is
+//! byte-identical to the solve it would have run itself.
 //!
-//! * **In-flight rank dedup** — concurrent `/rank` requests with the
-//!   same [`CacheKey`] (algorithm, options, membership, effective graph
-//!   epoch) coalesce onto one cold solve: the first arrival leads and
-//!   solves, the rest wait on the flight and receive the leader's
-//!   [`CachedResult`] verbatim. Since the cache key pins every solver
-//!   input, a follower's answer is byte-identical to the solve it would
-//!   have run itself.
-//! * **Keyword gather windows** — concurrent keyword queries over the
-//!   same (epoch, damping, tolerance, membership) but *different* base
-//!   sets become columns of one multi-vector Λ-collapse solve
-//!   ([`approxrank_core::ExtendedLocalGraph::solve_multi`]): the leader
-//!   parks for a bounded gather window while followers append their
-//!   base-set columns, then seals the gather and runs one batched solve
-//!   whose per-column bits equal k singleton solves.
-//!
-//! Leaders publish through a lease guard: if a leader panics or errors,
-//! followers receive a cloned error instead of hanging.
+//! Leaders publish through a lease guard: if a leader panics, followers
+//! receive `Unavailable` instead of hanging.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 use crate::cache::{CacheKey, CachedResult};
 use crate::engine::EngineError;
 
-/// Tunables for the scheduler.
-#[derive(Clone, Debug)]
-pub struct BatchConfig {
-    /// How long a keyword-gather leader waits for followers before
-    /// sealing and solving. Zero disables gathering (every keyword
-    /// request solves alone — the CLI's offline mode).
-    pub gather_window: Duration,
-    /// Maximum base-set columns per gather; a full gather seals early.
-    pub max_columns: usize,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            gather_window: Duration::from_millis(2),
-            max_columns: 32,
-        }
-    }
-}
-
-/// Point-in-time scheduler counters for `/stats` and `/metrics`.
+/// Point-in-time coalescing counters for `/stats` and `/metrics`.
 ///
-/// Amortization reads off directly: `keyword_columns / keyword_solves`
-/// is the mean batch occupancy, and `rank_coalesced / rank_leaders` is
-/// how many duplicate solves the in-flight table absorbed per cold one.
+/// `rank_coalesced / rank_leaders` is how many duplicate solves the
+/// in-flight table absorbed per cold one; `keyword_coalesced` counts the
+/// same for keyword queries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Cold rank solves that led an in-flight entry.
     pub rank_leaders: u64,
     /// Rank requests served by another request's in-flight solve.
     pub rank_coalesced: u64,
-    /// Multi-vector keyword solves run.
+    /// Keyword solves run (one per distinct in-flight keyword key).
     pub keyword_solves: u64,
-    /// Total base-set columns across those solves.
+    /// Base-set columns across those solves. Every keyword solve is a
+    /// singleton, so this always equals `keyword_solves`; it stays
+    /// because `perfbench/src/run.rs` reads it (`columns_per_solve`).
     pub keyword_columns: u64,
-    /// Keyword requests that joined an existing gather instead of
-    /// opening one.
+    /// Keyword requests served by an identical in-flight keyword solve.
     pub keyword_coalesced: u64,
+}
+
+/// Identifies one keyword solve: everything it reads.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub(crate) struct KeywordKey {
+    pub epoch: u64,
+    pub damping_bits: u64,
+    pub tolerance_bits: u64,
+    pub members: Vec<u32>,
+    pub base: Vec<u32>,
 }
 
 /// A one-shot broadcast cell: the leader publishes once, any number of
 /// followers wait.
-pub(crate) struct Flight<T> {
-    state: Mutex<Option<Result<T, EngineError>>>,
+struct Flight {
+    state: Mutex<Option<Result<CachedResult, EngineError>>>,
     cv: Condvar,
 }
 
-impl<T: Clone> Flight<T> {
+impl Flight {
     fn new() -> Self {
         Flight {
             state: Mutex::new(None),
@@ -84,7 +65,7 @@ impl<T: Clone> Flight<T> {
         }
     }
 
-    fn publish(&self, result: Result<T, EngineError>) {
+    fn publish(&self, result: Result<CachedResult, EngineError>) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if state.is_none() {
             *state = Some(result);
@@ -92,7 +73,7 @@ impl<T: Clone> Flight<T> {
         self.cv.notify_all();
     }
 
-    pub(crate) fn wait(&self) -> Result<T, EngineError> {
+    fn wait(&self) -> Result<CachedResult, EngineError> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(result) = state.as_ref() {
@@ -103,224 +84,93 @@ impl<T: Clone> Flight<T> {
     }
 }
 
-/// Identifies one keyword gather: everything a keyword solve reads
-/// except the base set (base sets are the columns *within* a gather).
-#[derive(Clone, PartialEq, Eq, Hash)]
-pub(crate) struct GatherKey {
-    pub epoch: u64,
-    pub damping_bits: u64,
-    pub tolerance_bits: u64,
-    pub members: Arc<[u32]>,
-}
-
-struct GatherState {
-    /// Still accepting columns (leader has not sealed).
-    open: bool,
-    /// Base-set columns, leader's first.
-    columns: Vec<Vec<u32>>,
-}
-
-/// One keyword gather: its column list while open, then the per-column
-/// results broadcast by the leader.
-pub(crate) struct Gather {
-    state: Mutex<GatherState>,
-    /// Wakes the leader when the gather fills to `max_columns`.
-    filled: Condvar,
-    results: Flight<Vec<CachedResult>>,
-}
-
-impl Gather {
-    fn new(first_base: Vec<u32>) -> Self {
-        Gather {
-            state: Mutex::new(GatherState {
-                open: true,
-                columns: vec![first_base],
-            }),
-            filled: Condvar::new(),
-            results: Flight::new(),
-        }
-    }
-
-    fn lock_state(&self) -> MutexGuard<'_, GatherState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn wait_column(&self, column: usize) -> Result<CachedResult, EngineError> {
-        let results = self.results.wait()?;
-        results
-            .get(column)
-            .cloned()
-            .ok_or_else(|| EngineError::Unavailable("keyword gather dropped a column".into()))
-    }
-}
-
-/// Where a rank request landed in the in-flight table.
-pub(crate) enum RankSlot<'a> {
-    /// This request solves; it must call [`RankLease::finish`].
-    Leader(RankLease<'a>),
+/// Where a request landed in the in-flight table.
+enum Slot<'a, K: Eq + Hash + Clone> {
+    /// This request solves; it must call [`Lease::finish`].
+    Leader(Lease<'a, K>),
     /// Another request is already solving the identical key.
-    Follower(Arc<Flight<CachedResult>>),
+    Follower(Arc<Flight>),
 }
 
 /// The leader's obligation to publish: dropping it without
-/// [`RankLease::finish`] (a panic in the solve) broadcasts
-/// `Unavailable` so followers never hang.
-pub(crate) struct RankLease<'a> {
-    scheduler: &'a BatchScheduler,
-    key: CacheKey,
-    flight: Arc<Flight<CachedResult>>,
+/// [`Lease::finish`] (a panic in the solve) broadcasts `Unavailable`
+/// so followers never hang.
+struct Lease<'a, K: Eq + Hash + Clone> {
+    table: &'a InFlight<K>,
+    key: K,
+    flight: Arc<Flight>,
     done: bool,
 }
 
-impl RankLease<'_> {
-    pub(crate) fn finish(mut self, result: Result<CachedResult, EngineError>) {
+impl<K: Eq + Hash + Clone> Lease<'_, K> {
+    fn finish(mut self, result: Result<CachedResult, EngineError>) {
         self.done = true;
-        self.scheduler.remove_rank(&self.key, &self.flight);
+        self.table.remove(&self.key, &self.flight);
         self.flight.publish(result);
     }
 }
 
-impl Drop for RankLease<'_> {
+impl<K: Eq + Hash + Clone> Drop for Lease<'_, K> {
     fn drop(&mut self) {
         if !self.done {
-            self.scheduler.remove_rank(&self.key, &self.flight);
+            self.table.remove(&self.key, &self.flight);
             self.flight
-                .publish(Err(EngineError::Unavailable("rank solve aborted".into())));
+                .publish(Err(EngineError::Unavailable("solve aborted".into())));
         }
     }
 }
 
-/// Where a keyword request landed.
-pub(crate) enum KeywordSlot<'a> {
-    /// This request leads the gather and runs the batched solve.
-    Leader(KeywordLease<'a>),
-    /// Joined an open gather as column `column`.
-    Follower { gather: Arc<Gather>, column: usize },
+/// A single-flight table: at most one solve per key at a time.
+pub(crate) struct InFlight<K: Eq + Hash + Clone> {
+    flights: Mutex<HashMap<K, Arc<Flight>>>,
+    leaders: AtomicU64,
+    followers: AtomicU64,
 }
 
-impl KeywordSlot<'_> {
-    /// Follower-side wait (callable only on the `Follower` variant).
-    pub(crate) fn wait(self) -> Result<CachedResult, EngineError> {
-        match self {
-            KeywordSlot::Follower { gather, column } => gather.wait_column(column),
-            KeywordSlot::Leader(_) => unreachable!("leaders solve, they do not wait"),
+impl<K: Eq + Hash + Clone> InFlight<K> {
+    pub(crate) fn new() -> Self {
+        InFlight {
+            flights: Mutex::new(HashMap::new()),
+            leaders: AtomicU64::new(0),
+            followers: AtomicU64::new(0),
         }
     }
-}
 
-/// The keyword leader's obligation: gather, solve, publish.
-pub(crate) struct KeywordLease<'a> {
-    scheduler: &'a BatchScheduler,
-    key: GatherKey,
-    gather: Arc<Gather>,
-    done: bool,
-}
+    fn lock(&self) -> MutexGuard<'_, HashMap<K, Arc<Flight>>> {
+        self.flights.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
-impl KeywordLease<'_> {
-    /// Parks for the gather window (waking early if the gather fills),
-    /// seals the gather against new columns, removes it from the table,
-    /// and returns the column list to solve. Column 0 is the leader's.
-    pub(crate) fn gather_columns(&self) -> Vec<Vec<u32>> {
-        let config = &self.scheduler.config;
-        if !config.gather_window.is_zero() && config.max_columns > 1 {
-            let deadline = Instant::now() + config.gather_window;
-            let mut state = self.gather.lock_state();
-            while state.columns.len() < config.max_columns {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (next, _) = self
-                    .gather
-                    .filled
-                    .wait_timeout(state, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                state = next;
+    /// Runs `solve` unless an identical key is already in flight, in
+    /// which case it waits for that flight's result instead. Returns the
+    /// result and whether this call ran the solve.
+    pub(crate) fn run(
+        &self,
+        key: K,
+        solve: impl FnOnce() -> Result<CachedResult, EngineError>,
+    ) -> (Result<CachedResult, EngineError>, bool) {
+        match self.join(key) {
+            Slot::Follower(flight) => (flight.wait(), false),
+            Slot::Leader(lease) => {
+                let result = solve();
+                lease.finish(result.clone());
+                (result, true)
             }
         }
-        self.scheduler.remove_gather(&self.key, &self.gather);
-        let mut state = self.gather.lock_state();
-        state.open = false;
-        state.columns.clone()
-    }
-
-    /// Publishes the per-column results (aligned with
-    /// [`Self::gather_columns`]'s list) and bumps the batch counters.
-    pub(crate) fn finish(mut self, results: Result<Vec<CachedResult>, EngineError>) {
-        self.done = true;
-        self.scheduler.remove_gather(&self.key, &self.gather);
-        if let Ok(columns) = &results {
-            self.scheduler
-                .keyword_solves
-                .fetch_add(1, Ordering::Relaxed);
-            self.scheduler
-                .keyword_columns
-                .fetch_add(columns.len() as u64, Ordering::Relaxed);
-        }
-        self.gather.results.publish(results);
-    }
-}
-
-impl Drop for KeywordLease<'_> {
-    fn drop(&mut self) {
-        if !self.done {
-            self.scheduler.remove_gather(&self.key, &self.gather);
-            self.gather.lock_state().open = false;
-            self.gather.results.publish(Err(EngineError::Unavailable(
-                "keyword solve aborted".into(),
-            )));
-        }
-    }
-}
-
-/// The engine's coalescing state: one in-flight table for rank solves,
-/// one gather table for keyword batches, plus the `batch_*` counters.
-pub(crate) struct BatchScheduler {
-    pub(crate) config: BatchConfig,
-    rank_flights: Mutex<HashMap<CacheKey, Arc<Flight<CachedResult>>>>,
-    gathers: Mutex<HashMap<GatherKey, Arc<Gather>>>,
-    rank_leaders: AtomicU64,
-    rank_coalesced: AtomicU64,
-    keyword_solves: AtomicU64,
-    keyword_columns: AtomicU64,
-    keyword_coalesced: AtomicU64,
-}
-
-impl BatchScheduler {
-    pub(crate) fn new(config: BatchConfig) -> Self {
-        BatchScheduler {
-            config,
-            rank_flights: Mutex::new(HashMap::new()),
-            gathers: Mutex::new(HashMap::new()),
-            rank_leaders: AtomicU64::new(0),
-            rank_coalesced: AtomicU64::new(0),
-            keyword_solves: AtomicU64::new(0),
-            keyword_columns: AtomicU64::new(0),
-            keyword_coalesced: AtomicU64::new(0),
-        }
-    }
-
-    fn lock_rank(&self) -> MutexGuard<'_, HashMap<CacheKey, Arc<Flight<CachedResult>>>> {
-        self.rank_flights.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn lock_gathers(&self) -> MutexGuard<'_, HashMap<GatherKey, Arc<Gather>>> {
-        self.gathers.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Claims or joins the in-flight entry for `key`.
-    pub(crate) fn join_rank(&self, key: CacheKey) -> RankSlot<'_> {
-        let mut map = self.lock_rank();
+    fn join(&self, key: K) -> Slot<'_, K> {
+        let mut map = self.lock();
         if let Some(flight) = map.get(&key) {
-            self.rank_coalesced.fetch_add(1, Ordering::Relaxed);
-            return RankSlot::Follower(Arc::clone(flight));
+            self.followers.fetch_add(1, Ordering::Relaxed);
+            return Slot::Follower(Arc::clone(flight));
         }
         let flight = Arc::new(Flight::new());
         map.insert(key.clone(), Arc::clone(&flight));
         drop(map);
-        self.rank_leaders.fetch_add(1, Ordering::Relaxed);
-        RankSlot::Leader(RankLease {
-            scheduler: self,
+        self.leaders.fetch_add(1, Ordering::Relaxed);
+        Slot::Leader(Lease {
+            table: self,
             key,
             flight,
             done: false,
@@ -329,62 +179,45 @@ impl BatchScheduler {
 
     /// Removes `key`'s flight *if it is still this flight* (a successor
     /// leader may have re-inserted the key already).
-    fn remove_rank(&self, key: &CacheKey, flight: &Arc<Flight<CachedResult>>) {
-        let mut map = self.lock_rank();
+    fn remove(&self, key: &K, flight: &Arc<Flight>) {
+        let mut map = self.lock();
         if map.get(key).is_some_and(|f| Arc::ptr_eq(f, flight)) {
             map.remove(key);
         }
     }
 
-    /// Claims or joins the keyword gather for `key`. Identical base sets
-    /// within a gather share one column.
-    pub(crate) fn join_keyword(&self, key: GatherKey, base: Vec<u32>) -> KeywordSlot<'_> {
-        let mut map = self.lock_gathers();
-        if let Some(gather) = map.get(&key) {
-            let gather = Arc::clone(gather);
-            let mut state = gather.lock_state();
-            if state.open && state.columns.len() < self.config.max_columns {
-                let column = match state.columns.iter().position(|c| *c == base) {
-                    Some(idx) => idx,
-                    None => {
-                        state.columns.push(base);
-                        state.columns.len() - 1
-                    }
-                };
-                if state.columns.len() >= self.config.max_columns {
-                    gather.filled.notify_all();
-                }
-                drop(state);
-                self.keyword_coalesced.fetch_add(1, Ordering::Relaxed);
-                return KeywordSlot::Follower { gather, column };
-            }
-            // Sealed or full: this request opens the successor gather.
-        }
-        let gather = Arc::new(Gather::new(base));
-        map.insert(key.clone(), Arc::clone(&gather));
-        drop(map);
-        KeywordSlot::Leader(KeywordLease {
-            scheduler: self,
-            key,
-            gather,
-            done: false,
-        })
+    /// `(leaders, followers)` since construction.
+    pub(crate) fn counts(&self) -> (u64, u64) {
+        (
+            self.leaders.load(Ordering::Relaxed),
+            self.followers.load(Ordering::Relaxed),
+        )
     }
+}
 
-    fn remove_gather(&self, key: &GatherKey, gather: &Arc<Gather>) {
-        let mut map = self.lock_gathers();
-        if map.get(key).is_some_and(|g| Arc::ptr_eq(g, gather)) {
-            map.remove(key);
+/// The engine's two single-flight tables.
+pub(crate) struct BatchScheduler {
+    pub(crate) rank: InFlight<CacheKey>,
+    pub(crate) keyword: InFlight<KeywordKey>,
+}
+
+impl BatchScheduler {
+    pub(crate) fn new() -> Self {
+        BatchScheduler {
+            rank: InFlight::new(),
+            keyword: InFlight::new(),
         }
     }
 
     pub(crate) fn stats(&self) -> BatchStats {
+        let (rank_leaders, rank_coalesced) = self.rank.counts();
+        let (keyword_solves, keyword_coalesced) = self.keyword.counts();
         BatchStats {
-            rank_leaders: self.rank_leaders.load(Ordering::Relaxed),
-            rank_coalesced: self.rank_coalesced.load(Ordering::Relaxed),
-            keyword_solves: self.keyword_solves.load(Ordering::Relaxed),
-            keyword_columns: self.keyword_columns.load(Ordering::Relaxed),
-            keyword_coalesced: self.keyword_coalesced.load(Ordering::Relaxed),
+            rank_leaders,
+            rank_coalesced,
+            keyword_solves,
+            keyword_columns: keyword_solves,
+            keyword_coalesced,
         }
     }
 }
@@ -396,8 +229,8 @@ mod tests {
 
     fn result(tag: usize) -> CachedResult {
         CachedResult {
-            scores: Arc::new(vec![(tag as u32, 1.0)]),
-            lambda: None,
+            scores: Arc::new(vec![(tag as u32, 1.0 + 1.0 / 3.0)]),
+            lambda: Some(0.1),
             iterations: tag,
             converged: true,
             estimate: None,
@@ -406,35 +239,31 @@ mod tests {
 
     #[test]
     fn rank_followers_receive_the_leaders_result() {
-        let sched = Arc::new(BatchScheduler::new(BatchConfig::default()));
+        let sched = BatchScheduler::new();
         let key = cache_key(0, 0.85, 1e-8, 0, 0, &[1, 2, 3]);
-        let RankSlot::Leader(lease) = sched.join_rank(key.clone()) else {
+        let Slot::Leader(lease) = sched.rank.join(key.clone()) else {
             panic!("first arrival must lead");
         };
-        let follower = match sched.join_rank(key.clone()) {
-            RankSlot::Follower(f) => f,
-            RankSlot::Leader(_) => panic!("second arrival must follow"),
+        let Slot::Follower(follower) = sched.rank.join(key.clone()) else {
+            panic!("second arrival must follow");
         };
-        let waiter = {
-            let follower = Arc::clone(&follower);
-            std::thread::spawn(move || follower.wait())
-        };
+        let waiter = std::thread::spawn(move || follower.wait());
         lease.finish(Ok(result(9)));
         assert_eq!(waiter.join().unwrap().unwrap().iterations, 9);
         // The flight is gone: the next arrival leads again.
-        assert!(matches!(sched.join_rank(key), RankSlot::Leader(_)));
+        assert!(matches!(sched.rank.join(key), Slot::Leader(_)));
         let s = sched.stats();
         assert_eq!((s.rank_leaders, s.rank_coalesced), (2, 1));
     }
 
     #[test]
-    fn dropped_rank_lease_unblocks_followers_with_unavailable() {
-        let sched = BatchScheduler::new(BatchConfig::default());
+    fn dropped_lease_unblocks_followers_with_unavailable() {
+        let sched = BatchScheduler::new();
         let key = cache_key(0, 0.85, 1e-8, 0, 0, &[4]);
-        let RankSlot::Leader(lease) = sched.join_rank(key.clone()) else {
+        let Slot::Leader(lease) = sched.rank.join(key.clone()) else {
             panic!();
         };
-        let RankSlot::Follower(follower) = sched.join_rank(key) else {
+        let Slot::Follower(follower) = sched.rank.join(key) else {
             panic!();
         };
         drop(lease); // leader panicked / aborted
@@ -442,87 +271,34 @@ mod tests {
     }
 
     #[test]
-    fn keyword_gather_collects_columns_and_dedups_identical_bases() {
-        let sched = BatchScheduler::new(BatchConfig {
-            gather_window: Duration::from_millis(50),
-            max_columns: 8,
-        });
-        let key = GatherKey {
+    fn identical_keyword_keys_share_the_leaders_bits() {
+        let sched = BatchScheduler::new();
+        let key = KeywordKey {
             epoch: 0,
             damping_bits: 0.85f64.to_bits(),
             tolerance_bits: 1e-8f64.to_bits(),
-            members: vec![1u32, 2, 3].into(),
+            members: vec![1, 2, 3],
+            base: vec![2, 40],
         };
-        let KeywordSlot::Leader(lease) = sched.join_keyword(key.clone(), vec![1]) else {
+        let Slot::Leader(lease) = sched.keyword.join(key.clone()) else {
             panic!("first arrival leads");
         };
-        // Distinct base → new column; identical base → shared column.
-        let f1 = sched.join_keyword(key.clone(), vec![2, 3]);
-        let f2 = sched.join_keyword(key.clone(), vec![1]);
-        let (KeywordSlot::Follower { column: c1, .. }, KeywordSlot::Follower { column: c2, .. }) =
-            (&f1, &f2)
-        else {
-            panic!("joins must follow");
+        let Slot::Follower(follower) = sched.keyword.join(key) else {
+            panic!("an identical key follows");
         };
-        assert_eq!((*c1, *c2), (1, 0));
-        let columns = lease.gather_columns();
-        assert_eq!(columns, vec![vec![1], vec![2, 3]]);
-        lease.finish(Ok(vec![result(1), result(2)]));
-        assert_eq!(f2.wait().unwrap().iterations, 1);
-        assert_eq!(f1.wait().unwrap().iterations, 2);
+        let answer = result(7);
+        lease.finish(Ok(answer.clone()));
+        let got = follower.wait().unwrap();
+        assert_eq!(got.iterations, answer.iterations);
+        assert_eq!(
+            got.lambda.map(f64::to_bits),
+            answer.lambda.map(f64::to_bits)
+        );
+        for ((pa, sa), (pb, sb)) in got.scores.iter().zip(answer.scores.iter()) {
+            assert_eq!((pa, sa.to_bits()), (pb, sb.to_bits()));
+        }
         let s = sched.stats();
-        assert_eq!(s.keyword_solves, 1);
-        assert_eq!(s.keyword_columns, 2);
-        assert_eq!(s.keyword_coalesced, 2);
-    }
-
-    #[test]
-    fn full_gather_wakes_the_leader_early() {
-        let sched = Arc::new(BatchScheduler::new(BatchConfig {
-            gather_window: Duration::from_secs(30), // would stall the test
-            max_columns: 2,
-        }));
-        let key = GatherKey {
-            epoch: 0,
-            damping_bits: 0.85f64.to_bits(),
-            tolerance_bits: 1e-8f64.to_bits(),
-            members: vec![5u32, 6].into(),
-        };
-        let KeywordSlot::Leader(lease) = sched.join_keyword(key.clone(), vec![5]) else {
-            panic!();
-        };
-        let filler = {
-            let (sched, key) = (Arc::clone(&sched), key.clone());
-            std::thread::spawn(move || sched.join_keyword(key, vec![6]).wait())
-        };
-        // gather_columns returns as soon as the second column lands.
-        let t0 = Instant::now();
-        let columns = lease.gather_columns();
-        assert!(t0.elapsed() < Duration::from_secs(10));
-        assert_eq!(columns.len(), 2);
-        lease.finish(Ok(vec![result(1), result(2)]));
-        assert_eq!(filler.join().unwrap().unwrap().iterations, 2);
-        // A sealed gather is replaced, not joined.
-        assert!(matches!(
-            sched.join_keyword(key, vec![7]),
-            KeywordSlot::Leader(_)
-        ));
-    }
-
-    #[test]
-    fn dropped_keyword_lease_unblocks_followers() {
-        let sched = BatchScheduler::new(BatchConfig::default());
-        let key = GatherKey {
-            epoch: 1,
-            damping_bits: 0,
-            tolerance_bits: 0,
-            members: vec![1u32].into(),
-        };
-        let KeywordSlot::Leader(lease) = sched.join_keyword(key.clone(), vec![1]) else {
-            panic!();
-        };
-        let follower = sched.join_keyword(key, vec![2]);
-        drop(lease);
-        assert!(matches!(follower.wait(), Err(EngineError::Unavailable(_))));
+        assert_eq!((s.keyword_solves, s.keyword_columns), (1, 1));
+        assert_eq!(s.keyword_coalesced, 1);
     }
 }

@@ -17,7 +17,7 @@ use approxrank_trace::{Observer, Stopwatch};
 use approxrank_walk::{LocalPushRank, McApproxRank, McSession};
 
 use crate::algorithm::Algorithm;
-use crate::batch::{BatchConfig, BatchScheduler, BatchStats, GatherKey, KeywordSlot, RankSlot};
+use crate::batch::{BatchScheduler, BatchStats, KeywordKey};
 use crate::cache::{cache_key, estimator_bits, CacheKey, CacheStats, CachedResult, ShardedCache};
 
 /// Tunables an [`Engine`] is built with.
@@ -33,8 +33,6 @@ pub struct EngineConfig {
     /// engines gives engine `k` `first = k+1, stride = S`, so ids are
     /// disjoint and `(id-1) % S` recovers the owner.
     pub session_id_stride: u64,
-    /// Coalescing knobs for the engine-internal `BatchScheduler`.
-    pub batch: BatchConfig,
 }
 
 impl Default for EngineConfig {
@@ -44,7 +42,6 @@ impl Default for EngineConfig {
             fsync: FsyncPolicy::Interval(std::time::Duration::from_millis(100)),
             first_session_id: 1,
             session_id_stride: 1,
-            batch: BatchConfig::default(),
         }
     }
 }
@@ -322,8 +319,7 @@ pub struct Engine {
     pub(crate) store: OnceLock<Arc<SessionStore>>,
     /// WAL appends that failed (disk trouble); surfaced on `/metrics`.
     pub(crate) wal_errors: AtomicU64,
-    /// Coalesces concurrent identical cold solves and batches keyword
-    /// queries into multi-vector solves.
+    /// Coalesces concurrent identical cold rank and keyword solves.
     pub(crate) batch: BatchScheduler,
 }
 
@@ -428,7 +424,7 @@ impl Engine {
             next_session_id: AtomicU64::new(config.first_session_id),
             store: OnceLock::new(),
             wal_errors: AtomicU64::new(0),
-            batch: BatchScheduler::new(config.batch.clone()),
+            batch: BatchScheduler::new(),
             backend,
             config,
         }
@@ -635,22 +631,17 @@ impl Engine {
         }
         // Coalesce concurrent identical cold requests: the first arrival
         // leads and solves; the rest wait for its bits.
-        let lease = match self.batch.join_rank(key.clone()) {
-            RankSlot::Follower(flight) => {
-                let result = flight.wait()?;
-                return Ok(RankOutcome {
-                    result,
-                    cached: true,
-                });
-            }
-            RankSlot::Leader(lease) => lease,
-        };
-        let outcome = {
+        let (outcome, solved) = self.batch.rank.run(key.clone(), || {
             let _solve_span = obs.span("engine.solve");
             self.solve_cold(params, obs)
-        };
-        lease.finish(outcome.clone());
+        });
         let result = outcome?;
+        if !solved {
+            return Ok(RankOutcome {
+                result,
+                cached: true,
+            });
+        }
         obs.counter("solve_iterations", result.iterations as u64);
         if let Some((evicted, _)) = self.cache.insert(key, result.clone()) {
             // An entry keyed under a superseded epoch was unreachable
@@ -666,18 +657,19 @@ impl Engine {
         })
     }
 
-    /// Batch-scheduler counters (`batch_*` on `/metrics`).
+    /// In-flight dedup counters (`batch_*` on `/metrics`).
     pub fn batch_stats(&self) -> BatchStats {
         self.batch.stats()
     }
 
     /// Ranks a subgraph under a *keyword* personalization: ApproxRank's
     /// Λ-collapse solved with the ObjectRank teleport (uniform over the
-    /// base set; base pages outside the membership feed `Λ`). Concurrent
-    /// keyword queries over the same (epoch, options, membership) gather
-    /// into one multi-vector solve — each column bit-identical to a
-    /// singleton solve of its base set — behind a bounded window
-    /// ([`BatchConfig::gather_window`]).
+    /// base set; base pages outside the membership feed `Λ`). Runs on
+    /// any backend — the Λ-collapse consumes only the subgraph view and
+    /// [`GlobalAggregates`], so shard answers match global answers
+    /// bit-for-bit, exactly as for `/rank`. Concurrent *identical*
+    /// queries (same epoch, options, membership, and base set) share one
+    /// solve.
     ///
     /// The engine does **not** memoize keyword answers (the result cache
     /// is keyed by membership, which cannot carry a base set); callers
@@ -686,20 +678,6 @@ impl Engine {
     pub fn keyword_rank(
         &self,
         params: &KeywordRequest,
-        obs: &dyn Observer,
-    ) -> Result<CachedResult, EngineError> {
-        self.keyword_rank_with(params, true, obs)
-    }
-
-    /// [`keyword_rank`](Engine::keyword_rank) with an explicit batch
-    /// hint. `coalesce: false` skips the gather window and solves the
-    /// one base set immediately — what the RPC server uses when a caller
-    /// sent `coalesce: false` on the wire, and what latency-critical
-    /// singleton callers want. The answer is bit-identical either way.
-    pub fn keyword_rank_with(
-        &self,
-        params: &KeywordRequest,
-        coalesce: bool,
         obs: &dyn Observer,
     ) -> Result<CachedResult, EngineError> {
         if params.base.is_empty() {
@@ -718,74 +696,30 @@ impl Engine {
             )));
         }
         self.check_owned(&params.members)?;
-        if !coalesce {
-            let _solve_span = obs.span("engine.keyword_solve");
-            let results = self.solve_keyword_columns(
-                &params.members,
-                std::slice::from_ref(&params.base),
-                params.damping,
-                params.tolerance,
-                obs,
-            )?;
-            let result = results.into_iter().next().expect("one column in, one out");
-            obs.counter("solve_iterations", result.iterations as u64);
-            return Ok(result);
-        }
-        let key = GatherKey {
+        let key = KeywordKey {
             epoch: self.effective_epoch(&params.members),
             damping_bits: params.damping.to_bits(),
             tolerance_bits: params.tolerance.to_bits(),
-            members: params.members[..].into(),
+            members: params.members.clone(),
+            base: params.base.clone(),
         };
-        match self.batch.join_keyword(key, params.base.clone()) {
-            follower @ KeywordSlot::Follower { .. } => follower.wait(),
-            KeywordSlot::Leader(lease) => {
-                let columns = lease.gather_columns();
-                let outcome = {
-                    let _solve_span = obs.span("engine.keyword_solve");
-                    self.solve_keyword_columns(
-                        &params.members,
-                        &columns,
-                        params.damping,
-                        params.tolerance,
-                        obs,
-                    )
-                };
-                // The leader's own base set is column 0 by construction.
-                let own = outcome
-                    .as_ref()
-                    .map(|results| results[0].clone())
-                    .map_err(Clone::clone);
-                lease.finish(outcome);
-                if let Ok(result) = &own {
-                    obs.counter("solve_iterations", result.iterations as u64);
-                }
-                own
-            }
+        let (outcome, solved) = self.batch.keyword.run(key, || {
+            let _solve_span = obs.span("engine.keyword_solve");
+            let options = options_for(params.damping, params.tolerance);
+            let (subgraph, agg) = self.extract_aggregated(&params.members);
+            let scores = ApproxRank::new(options).rank_keyword_aggregated_observed(
+                agg,
+                &subgraph,
+                &params.base,
+                obs,
+            );
+            Ok(to_cached(&params.members, scores))
+        });
+        let result = outcome?;
+        if solved {
+            obs.counter("solve_iterations", result.iterations as u64);
         }
-    }
-
-    /// One multi-vector keyword solve: extract the membership once,
-    /// collapse once, iterate every base-set column together. Runs on
-    /// any backend — the Λ-collapse consumes only the subgraph view and
-    /// [`GlobalAggregates`], so shard answers match global answers
-    /// bit-for-bit, exactly as for `/rank`.
-    fn solve_keyword_columns(
-        &self,
-        members: &[u32],
-        columns: &[Vec<u32>],
-        damping: f64,
-        tolerance: f64,
-        obs: &dyn Observer,
-    ) -> Result<Vec<CachedResult>, EngineError> {
-        let options = options_for(damping, tolerance);
-        let (subgraph, agg) = self.extract_aggregated(members);
-        let batch = ApproxRank::new(options)
-            .rank_keyword_multi_aggregated_observed(agg, &subgraph, columns, obs);
-        Ok(batch
-            .into_iter()
-            .map(|scores| to_cached(members, scores))
-            .collect())
+        Ok(result)
     }
 
     /// The cache key a session's current membership occupies, at the
@@ -1288,17 +1222,11 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_keyword_queries_gather_into_one_solve() {
+    fn concurrent_distinct_keyword_queries_match_solo_solves() {
         let g = ring(200);
         let engine = Arc::new(Engine::new_global(
             Arc::new(g.clone()),
-            EngineConfig {
-                batch: crate::batch::BatchConfig {
-                    gather_window: std::time::Duration::from_millis(200),
-                    max_columns: 2,
-                },
-                ..EngineConfig::default()
-            },
+            EngineConfig::default(),
         ));
         let members: Vec<u32> = (10..60).collect();
         let req_of = |base: Vec<u32>| KeywordRequest {
@@ -1307,35 +1235,32 @@ mod tests {
             damping: 0.85,
             tolerance: 1e-8,
         };
-        // Two concurrent queries with different bases: the gather fills
-        // to max_columns and solves once with two columns.
-        let worker = {
-            let engine = Arc::clone(&engine);
-            let req = req_of(vec![20, 21]);
-            std::thread::spawn(move || engine.keyword_rank(&req, null()))
-        };
-        let a = engine.keyword_rank(&req_of(vec![15]), null()).unwrap();
-        let b = worker.join().unwrap().unwrap();
+        let bases: Vec<Vec<u32>> = vec![vec![15], vec![20, 21], vec![12, 150], vec![59]];
+        let workers: Vec<_> = bases
+            .iter()
+            .map(|base| {
+                let engine = Arc::clone(&engine);
+                let req = req_of(base.clone());
+                std::thread::spawn(move || engine.keyword_rank(&req, null()).unwrap())
+            })
+            .collect();
+        let answers: Vec<CachedResult> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        // Distinct bases never share a solve.
         let stats = engine.batch_stats();
-        assert_eq!(stats.keyword_solves, 1, "{stats:?}");
-        assert_eq!(stats.keyword_columns, 2, "{stats:?}");
-        assert_eq!(stats.keyword_coalesced, 1, "{stats:?}");
-        // Each gathered answer is bit-identical to an unbatched solve on
-        // a fresh engine with gathering disabled.
-        let solo = Engine::new_global(
-            Arc::new(g),
-            EngineConfig {
-                batch: crate::batch::BatchConfig {
-                    gather_window: std::time::Duration::ZERO,
-                    max_columns: 1,
-                },
-                ..EngineConfig::default()
-            },
-        );
-        for (batched, base) in [(&a, vec![15]), (&b, vec![20, 21])] {
-            let single = solo.keyword_rank(&req_of(base), null()).unwrap();
-            assert_eq!(single.iterations, batched.iterations);
-            for ((pa, sa), (pb, sb)) in batched.scores.iter().zip(single.scores.iter()) {
+        assert_eq!(stats.keyword_solves, bases.len() as u64, "{stats:?}");
+        assert_eq!(stats.keyword_columns, stats.keyword_solves, "{stats:?}");
+        assert_eq!(stats.keyword_coalesced, 0, "{stats:?}");
+        // Each concurrent answer is bit-identical to a solo solve on a
+        // fresh engine.
+        let solo = Engine::new_global(Arc::new(g), EngineConfig::default());
+        for (concurrent, base) in answers.iter().zip(&bases) {
+            let single = solo.keyword_rank(&req_of(base.clone()), null()).unwrap();
+            assert_eq!(single.iterations, concurrent.iterations);
+            assert_eq!(
+                single.lambda.map(f64::to_bits),
+                concurrent.lambda.map(f64::to_bits)
+            );
+            for ((pa, sa), (pb, sb)) in concurrent.scores.iter().zip(single.scores.iter()) {
                 assert_eq!(pa, pb);
                 assert_eq!(sa.to_bits(), sb.to_bits(), "page {pa}");
             }

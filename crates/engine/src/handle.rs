@@ -34,16 +34,15 @@ pub trait EngineHandle: Send + Sync {
     fn rank(&self, params: &RankRequest, obs: &dyn Observer) -> Result<RankOutcome, EngineError>;
 
     /// Ranks a member list under a keyword (base-set) personalization —
-    /// ObjectRank's teleport over ApproxRank's Λ-collapse. Engines batch
-    /// concurrent keyword queries into one multi-vector solve; see
-    /// [`Engine::keyword_rank`].
+    /// ObjectRank's teleport over ApproxRank's Λ-collapse, one solve per
+    /// query; see [`Engine::keyword_rank`].
     fn keyword_rank(
         &self,
         params: &KeywordRequest,
         obs: &dyn Observer,
     ) -> Result<CachedResult, EngineError>;
 
-    /// Batch-scheduler counters (best-effort: remote implementations
+    /// In-flight dedup counters (best-effort: remote implementations
     /// report zeros rather than fail a metrics scrape — the remote
     /// process exports its own `batch_*` counters).
     fn batch_stats(&self) -> BatchStats {

@@ -19,18 +19,14 @@
 
 pub mod adaptive;
 pub mod authority;
-pub mod blockrank;
 pub mod extrapolation;
 pub mod gauss_seidel;
-pub mod hits;
-pub mod multi;
 pub mod options;
 pub mod parallel;
 pub mod power;
 pub mod result;
 pub mod weighted;
 
-pub use multi::{pagerank_multi, pagerank_multi_observed_on, MultiVec};
 pub use options::{DanglingMode, PageRankOptions};
 pub use parallel::{emit_exec_stats, executor_for, pagerank_with_start_observed_on};
 pub use power::{pagerank, pagerank_observed, pagerank_with_start, pagerank_with_start_observed};
@@ -38,10 +34,8 @@ pub use result::PageRankResult;
 pub use weighted::WeightedDiGraph;
 
 pub use adaptive::{pagerank_adaptive, pagerank_adaptive_observed};
-pub use blockrank::{blockrank, BlockRankResult};
 pub use extrapolation::{pagerank_extrapolated, pagerank_extrapolated_observed};
 pub use gauss_seidel::{
     pagerank_gauss_seidel, pagerank_gauss_seidel_observed, pagerank_gauss_seidel_red_black,
     pagerank_gauss_seidel_red_black_observed, pagerank_gauss_seidel_red_black_on,
 };
-pub use hits::{hits, HitsOptions, HitsResult};

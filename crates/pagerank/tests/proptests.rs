@@ -2,9 +2,7 @@
 
 use approxrank_graph::DiGraph;
 use approxrank_pagerank::authority::{authority_flow, FlowModel};
-use approxrank_pagerank::{
-    pagerank, pagerank_multi, pagerank_with_start, PageRankOptions, WeightedDiGraph,
-};
+use approxrank_pagerank::{pagerank, pagerank_with_start, PageRankOptions, WeightedDiGraph};
 use proptest::prelude::*;
 
 fn graphs() -> impl Strategy<Value = DiGraph> {
@@ -98,55 +96,5 @@ proptest! {
         let r = pagerank(&g, &o);
         prop_assert!(r.converged);
         prop_assert!((r.total_mass() - 1.0).abs() < 1e-7);
-    }
-
-    /// The batched-solving contract: a k-column multi-vector solve is
-    /// *bitwise* identical to k sequential singleton solves of the same
-    /// (personalization, start) pairs — on random graphs, random
-    /// personalizations, and every thread width. This is what lets the
-    /// engine coalesce concurrent keyword queries into one solve without
-    /// changing a single answered byte.
-    #[test]
-    fn multi_vector_batch_is_bitwise_singleton(
-        g in graphs(),
-        k in 1usize..4,
-        seed in 1u64..1_000_000,
-    ) {
-        let n = g.num_nodes();
-        // k deterministic, distinct personalization distributions.
-        let personalizations: Vec<Vec<f64>> = (0..k)
-            .map(|j| {
-                let w: Vec<f64> = (0..n)
-                    .map(|v| ((seed.wrapping_mul(j as u64 + 1).wrapping_add(v as u64 * 31)) % 97 + 1) as f64)
-                    .collect();
-                let total: f64 = w.iter().sum();
-                w.into_iter().map(|x| x / total).collect()
-            })
-            .collect();
-        let starts = personalizations.clone();
-        for threads in [1usize, 2, 5] {
-            let o = PageRankOptions::paper()
-                .with_tolerance(1e-10)
-                .with_threads(threads);
-            let batch = pagerank_multi(
-                &g,
-                &o,
-                &personalizations,
-                &starts,
-                approxrank_trace::null(),
-            );
-            prop_assert_eq!(batch.len(), k);
-            for (j, column) in batch.iter().enumerate() {
-                let single = pagerank_with_start(&g, &o, &personalizations[j], &starts[j]);
-                prop_assert_eq!(column.iterations, single.iterations, "column {} iterations", j);
-                prop_assert_eq!(column.converged, single.converged);
-                for (v, (a, b)) in column.scores.iter().zip(&single.scores).enumerate() {
-                    prop_assert_eq!(
-                        a.to_bits(), b.to_bits(),
-                        "column {} node {} ({} threads): {} vs {}", j, v, threads, a, b
-                    );
-                }
-            }
-        }
     }
 }

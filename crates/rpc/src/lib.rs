@@ -59,8 +59,7 @@
 //! follow:
 //!
 //! 1. **One version byte governs everything.** [`wire::WIRE_VERSION`]
-//!    (currently `1`) is the first payload byte of every request and
-//!    response. There is no negotiation: a decoder that sees any other
+//!    is the first payload byte of every request and response. There is no negotiation: a decoder that sees any other
 //!    value must reject the payload (servers answer status `BadProtocol`,
 //!    clients fail the call) rather than guess at field layouts.
 //! 2. **Within a version, layouts are frozen.** Adding, removing,

@@ -480,15 +480,7 @@ impl EngineHandle for RemoteEngine {
         obs: &dyn Observer,
     ) -> Result<CachedResult, EngineError> {
         let _span = obs.span("rpc.keyword");
-        // The batch hint: let the far side coalesce this request into a
-        // shared gather window — its scheduler answers singletons
-        // immediately once the window lapses, so the hint never changes
-        // the bytes of the answer.
-        let request = RpcRequest::Keyword {
-            params: params.clone(),
-            coalesce: true,
-        };
-        match self.call(&request, Pick::RoundRobin)? {
+        match self.call(&RpcRequest::Keyword(params.clone()), Pick::RoundRobin)? {
             RpcResponse::KeywordRanked { result } => Ok(result),
             RpcResponse::Error(fault) => Err(Self::fault_to_error(fault)),
             other => Err(EngineError::Unavailable(format!(

@@ -338,12 +338,10 @@ fn handle_request(engine: &Engine, request: &RpcRequest) -> RpcResponse {
         RpcRequest::SessionDelete { id } => {
             RpcResponse::SessionDeleted(engine.session_delete(*id, obs))
         }
-        RpcRequest::Keyword { params, coalesce } => {
-            match engine.keyword_rank_with(params, *coalesce, obs) {
-                Ok(result) => RpcResponse::KeywordRanked { result },
-                Err(e) => RpcResponse::Error(fault_of(e)),
-            }
-        }
+        RpcRequest::Keyword(params) => match engine.keyword_rank(params, obs) {
+            Ok(result) => RpcResponse::KeywordRanked { result },
+            Err(e) => RpcResponse::Error(fault_of(e)),
+        },
         RpcRequest::MutateGraph { insert, delete } => {
             match engine.mutate_graph(insert, delete, obs) {
                 Ok(outcome) => RpcResponse::Mutated {

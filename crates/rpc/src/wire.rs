@@ -29,13 +29,12 @@ use approxrank_store::crc32;
 ///
 /// v4: every request preamble carries a tenant string after the trace
 /// id (empty for untenanted callers), and the `KEYWORD` opcode ranks a
-/// subgraph under a keyword base-set personalization. The `KEYWORD`
-/// payload carries a `coalesce` batch hint: `true` lets the serving
-/// engine hold the request for its gather window and answer it from a
-/// shared multi-vector solve; `false` demands an immediate singleton
-/// solve (bit-identical either way — the hint trades latency for
-/// throughput, never accuracy).
-pub const WIRE_VERSION: u8 = 4;
+/// subgraph under a keyword base-set personalization. Its payload ended
+/// in a `coalesce` batch-hint byte.
+///
+/// v5: the `KEYWORD` payload drops the `coalesce` byte — every keyword
+/// query is one singleton solve, so there is nothing left to hint.
+pub const WIRE_VERSION: u8 = 5;
 
 /// Ceiling on a frame's payload length. Anything larger is corruption
 /// (or a peer speaking a different protocol) — no legitimate message
@@ -143,14 +142,7 @@ pub enum RpcRequest {
         delete: Vec<(u32, u32)>,
     },
     /// Rank a member list under a keyword base-set personalization.
-    Keyword {
-        /// Members, base set, and solver knobs.
-        params: KeywordRequest,
-        /// Batch hint: `true` lets the server coalesce this request
-        /// into a shared multi-vector solve; `false` demands an
-        /// immediate singleton solve. Answers are bit-identical.
-        coalesce: bool,
-    },
+    Keyword(KeywordRequest),
 }
 
 /// What a `Ping` answers: enough for a router to verify it dialed the
@@ -372,14 +364,12 @@ fn put_result(out: &mut Vec<u8>, r: &CachedResult) {
     }
 }
 
-/// The `KEYWORD` payload tail: everything a [`KeywordRequest`] carries
-/// plus the coalesce batch hint.
-fn put_keyword_request(out: &mut Vec<u8>, r: &KeywordRequest, coalesce: bool) {
+/// The `KEYWORD` payload tail: everything a [`KeywordRequest`] carries.
+fn put_keyword_request(out: &mut Vec<u8>, r: &KeywordRequest) {
     put_f64(out, r.damping);
     put_f64(out, r.tolerance);
     put_ids(out, &r.members);
     put_ids(out, &r.base);
-    put_bool(out, coalesce);
 }
 
 /// The shared tail of `RANK` and `SESSION_CREATE` payloads: everything a
@@ -543,21 +533,17 @@ impl<'a> Reader<'a> {
         })
     }
 
-    fn keyword_request(&mut self, what: &str) -> Result<(KeywordRequest, bool), WireError> {
+    fn keyword_request(&mut self, what: &str) -> Result<KeywordRequest, WireError> {
         let damping = self.f64(what)?;
         let tolerance = self.f64(what)?;
         let members = self.ids(what)?;
         let base = self.ids(what)?;
-        let coalesce = self.bool(what)?;
-        Ok((
-            KeywordRequest {
-                members,
-                base,
-                damping,
-                tolerance,
-            },
-            coalesce,
-        ))
+        Ok(KeywordRequest {
+            members,
+            base,
+            damping,
+            tolerance,
+        })
     }
 
     fn finish(&self, what: &str) -> Result<(), WireError> {
@@ -612,9 +598,7 @@ pub fn encode_request(trace_id: &str, tenant: &str, req: &RpcRequest) -> Vec<u8>
             put_edges(&mut out, insert);
             put_edges(&mut out, delete);
         }
-        RpcRequest::Keyword { params, coalesce } => {
-            put_keyword_request(&mut out, params, *coalesce);
-        }
+        RpcRequest::Keyword(params) => put_keyword_request(&mut out, params),
     }
     out
 }
@@ -666,10 +650,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(String, String, RpcRequest), Wi
             let delete = r.edges("delete")?;
             RpcRequest::MutateGraph { insert, delete }
         }
-        opcode::KEYWORD => {
-            let (params, coalesce) = r.keyword_request("keyword")?;
-            RpcRequest::Keyword { params, coalesce }
-        }
+        opcode::KEYWORD => RpcRequest::Keyword(r.keyword_request("keyword")?),
         other => return Err(WireError(format!("unknown opcode {other}"))),
     };
     r.finish("request")?;
@@ -975,24 +956,12 @@ mod tests {
                 insert: Vec::new(),
                 delete: Vec::new(),
             },
-            RpcRequest::Keyword {
-                params: KeywordRequest {
-                    members: vec![1, 5, 9],
-                    base: vec![5, 40],
-                    damping: 0.85,
-                    tolerance: 1e-10,
-                },
-                coalesce: true,
-            },
-            RpcRequest::Keyword {
-                params: KeywordRequest {
-                    members: vec![2],
-                    base: vec![2],
-                    damping: 0.9,
-                    tolerance: 1e-8,
-                },
-                coalesce: false,
-            },
+            RpcRequest::Keyword(KeywordRequest {
+                members: vec![1, 5, 9],
+                base: vec![5, 40],
+                damping: 0.85,
+                tolerance: 1e-10,
+            }),
         ]
     }
 

@@ -263,24 +263,13 @@ fn metrics(state: &AppState) -> Response {
              rpc_unavailable_total {unavailable}\nrpc_health_probes_total {probes}\n",
         ));
     }
-    // Batch-scheduler counters: how much coalescing the engines actually
-    // did. Occupancy is columns per multi-vector solve — 1.0 means no
-    // batching benefit, `max_columns` means full windows.
+    // In-flight dedup counters: how many identical concurrent solves
+    // the engines absorbed.
     let batch = state.router.batch_stats();
-    let occupancy = if batch.keyword_solves > 0 {
-        batch.keyword_columns as f64 / batch.keyword_solves as f64
-    } else {
-        0.0
-    };
     extra.push_str(&format!(
         "batch_rank_leaders_total {}\nbatch_rank_coalesced_total {}\n\
-         batch_keyword_solves_total {}\nbatch_keyword_columns_total {}\n\
-         batch_keyword_coalesced_total {}\nbatch_keyword_occupancy {occupancy:?}\n",
-        batch.rank_leaders,
-        batch.rank_coalesced,
-        batch.keyword_solves,
-        batch.keyword_columns,
-        batch.keyword_coalesced,
+         batch_keyword_solves_total {}\nbatch_keyword_coalesced_total {}\n",
+        batch.rank_leaders, batch.rank_coalesced, batch.keyword_solves, batch.keyword_coalesced,
     ));
     let (kw_hits, kw_misses, kw_entries) = state.keyword_cache.stats();
     extra.push_str(&format!(
@@ -629,8 +618,8 @@ fn parse_keyword_params(state: &AppState, raw: &[u8]) -> Result<KeywordParams, (
 /// random surfer teleports to the keyword's base set instead of
 /// uniformly, and the subgraph is ranked through the same Λ-collapse as
 /// `/rank`. Answers are cached per (membership, base, damping,
-/// tolerance, graph epoch); concurrent distinct queries are coalesced
-/// into multi-vector solves by the engines' batch scheduler.
+/// tolerance, graph epoch); each miss is one personalized Λ-collapse
+/// solve, shared by concurrent identical misses.
 fn keyword(state: &AppState, request: &Request, obs: &dyn Observer) -> Response {
     let params = match parse_keyword_params(state, &request.body) {
         Ok(p) => p,
@@ -1575,6 +1564,7 @@ mod tests {
         let (_, m) = route(&state, &get("/metrics"));
         let text = String::from_utf8(m.body).unwrap();
         assert!(text.contains("batch_keyword_solves_total 1"), "{text}");
+        assert!(!text.contains("batch_keyword_occupancy"), "{text}");
         assert!(text.contains("keyword_cache_hits_total 1"), "{text}");
         assert!(text.contains("keyword_cache_misses_total 1"), "{text}");
     }

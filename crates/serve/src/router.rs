@@ -484,7 +484,7 @@ impl Router {
         })
     }
 
-    /// Batch-scheduler counters summed across every engine (remote
+    /// In-flight dedup counters summed across every engine (remote
     /// handles report zeros — each shard server exports its own).
     pub fn batch_stats(&self) -> BatchStats {
         let mut total = BatchStats::default();
@@ -505,8 +505,7 @@ impl Router {
     /// cross-shard memberships fan out one sub-solve per touched shard —
     /// each solving its resident members against the **full** base set,
     /// which stays global exactly like the Λ aggregates — and merge as a
-    /// uniform mixture. The engines batch concurrent keyword queries into
-    /// multi-vector solves underneath; the router never sees that.
+    /// uniform mixture.
     pub fn keyword(
         &self,
         params: &KeywordRequest,

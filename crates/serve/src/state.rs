@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-use approxrank_engine::{BatchConfig, CacheStats, CachedResult, EngineConfig};
+use approxrank_engine::{CacheStats, CachedResult, EngineConfig};
 use approxrank_exec::{ExecStats, Executor};
 use approxrank_graph::{DiGraph, PartitionStrategy};
 use approxrank_rpc::RemoteConfig;
@@ -75,11 +75,6 @@ pub struct ServeConfig {
     /// RPC transport tunables (timeouts, retry budget, health-check
     /// cadence). Only meaningful with `remote_shards`.
     pub rpc: RemoteConfig,
-    /// Coalescing knobs for every in-process engine's
-    /// [`approxrank_engine::BatchConfig`]: how long a keyword gather
-    /// window stays open and how many personalization columns one
-    /// multi-vector solve carries.
-    pub batch: BatchConfig,
     /// Per-tenant concurrency quota for the solving (`POST`) endpoints.
     /// `0` (the default) disables admission control entirely — no
     /// governor is built and no request is ever queued or shed.
@@ -113,7 +108,6 @@ impl Default for ServeConfig {
             trace_ring: 128,
             remote_shards: Vec::new(),
             rpc: RemoteConfig::default(),
-            batch: BatchConfig::default(),
             tenant_quota: 0,
             tenant_queue: 16,
             labels: None,
@@ -257,7 +251,6 @@ impl AppState {
         let engine_config = EngineConfig {
             cache_entries: config.cache_entries,
             fsync: config.fsync,
-            batch: config.batch.clone(),
             ..EngineConfig::default()
         };
         let router = if !config.remote_shards.is_empty() {

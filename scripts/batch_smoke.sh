@@ -1,21 +1,20 @@
 #!/usr/bin/env bash
-# Batched-solving + multi-tenancy smoke test: build release, generate a
-# graph, and assert the whole ISSUE-10 surface end to end:
+# Keyword + multi-tenancy smoke test: build release, generate a graph,
+# and assert end to end:
 #
 #   1. `subrank keyword` (offline CLI) answers byte-identical bodies to
 #      `POST /keyword` on a live server — for both an explicit --base
 #      set and a --keyword resolved against generated labels.
 #   2. A 2-shard server answers shard-resident /keyword byte-identically
 #      to the single-shard deployment (routing stays invisible).
-#   3. A concurrent burst of distinct-base /keyword queries against a
-#      wide gather window is coalesced into multi-column solves
-#      (batch_keyword_coalesced_total > 0, columns > solves), and every
-#      coalesced answer is byte-identical to the singleton CLI answer.
+#   3. A concurrent burst of distinct-base /keyword queries against the
+#      2-shard server answers every query byte-identically to the
+#      singleton CLI answer.
 #   4. Tenant admission: with --tenant-quota 1 --tenant-queue 0, a
 #      barrage of simultaneous same-tenant requests sheds with 429 +
 #      Retry-After; loadgen --tenants accounts sheds apart from errors
 #      and an in-quota tenant finishes with zero sheds and zero errors.
-#   5. /metrics exposes the batch_* and per-tenant tenant_* telemetry.
+#   5. /metrics exposes the per-tenant tenant_* telemetry.
 #   6. SIGINT still drains cleanly and no server logs a panic.
 #
 # Exits nonzero on any body mismatch, bad status, or missing metric.
@@ -66,9 +65,9 @@ say "generating a graph"
 # Shard-0-resident membership (range partitioning: shard 0 owns 0..10000).
 seq 100 131 >"${WORKDIR}/members.txt"
 
-say "booting single-shard, 2-shard (wide gather window), and quota'd servers"
+say "booting single-shard, 2-shard, and quota'd servers"
 PID_A="$(boot single "${ADDR_A}")"
-PID_B="$(boot sharded "${ADDR_B}" --shards 2 --batch-window-ms 40)"
+PID_B="$(boot sharded "${ADDR_B}" --shards 2)"
 PID_C="$(boot quota "${ADDR_C}" --tenant-quota 1 --tenant-queue 0)"
 
 say "CLI 'subrank keyword' is byte-identical to served POST /keyword"
@@ -92,7 +91,7 @@ grep -q '"base_pages":1' "${WORKDIR}/cli.base.json"
 grep -q '"keyword":"page-77"' "${WORKDIR}/cli.kw.json"
 grep -q '"shards":1' "${WORKDIR}/cli.kw.json"
 
-say "concurrent distinct-base burst coalesces into multi-column solves"
+say "concurrent distinct-base /keyword burst"
 python3 - "${ADDR_B}" "${WORKDIR}" <<'PY'
 import json, sys, threading, urllib.request
 
@@ -121,28 +120,14 @@ for t in threads: t.start()
 for t in threads: t.join()
 assert not failures, failures
 PY
-curl -sf "http://${ADDR_B}/metrics" >"${WORKDIR}/metrics.b.txt"
-python3 - "${WORKDIR}/metrics.b.txt" <<'PY'
-import sys
-m = {}
-for line in open(sys.argv[1]):
-    parts = line.split()
-    if len(parts) == 2:
-        try: m[parts[0]] = float(parts[1])
-        except ValueError: pass
-solves, columns = m["batch_keyword_solves_total"], m["batch_keyword_columns_total"]
-coalesced = m["batch_keyword_coalesced_total"]
-assert coalesced >= 1, f"no coalescing observed (solves={solves} columns={columns})"
-assert columns > solves, f"columns {columns} should exceed solves {solves}"
-PY
 
-say "coalesced answers are byte-identical to singleton CLI answers"
+say "burst answers are byte-identical to singleton CLI answers"
 for i in 0 4 9; do
   printf '\n' >>"${WORKDIR}/burst.${i}.json"
   "${SUBRANK}" keyword --graph "${WORKDIR}/web.edges" --subgraph "${WORKDIR}/members.txt" \
     --base "$((7000 + 7 * i))" >"${WORKDIR}/cli.burst.${i}.json"
   cmp "${WORKDIR}/cli.burst.${i}.json" "${WORKDIR}/burst.${i}.json" \
-    || { echo "coalesced burst answer ${i} differs from singleton CLI" >&2; exit 1; }
+    || { echo "burst answer ${i} differs from singleton CLI" >&2; exit 1; }
 done
 
 say "same-tenant barrage sheds with 429 + Retry-After"
@@ -190,7 +175,6 @@ grep -q '^tenant_requests_total{tenant="hog"} ' "${WORKDIR}/metrics.c.txt"
 grep -Eq '^tenant_shed_total\{tenant="hog"\} [1-9]' "${WORKDIR}/metrics.c.txt"
 grep -q '^tenant_in_flight{tenant="hog"} ' "${WORKDIR}/metrics.c.txt"
 grep -q '^tenant_queue_depth{tenant="hog"} ' "${WORKDIR}/metrics.c.txt"
-grep -q '^batch_keyword_occupancy ' "${WORKDIR}/metrics.b.txt"
 
 say "loadgen --tenants: sheds are accounted apart from errors"
 # Round-robin stream→tenant: with 3 clients over 2 tenants, tenant-0
@@ -234,4 +218,4 @@ done
 say "no panics in any server log"
 ! grep -i 'panic' "${WORKDIR}"/serve.*.err
 
-say "batch smoke OK"
+say "keyword smoke OK"
