@@ -10,6 +10,7 @@
 //! on a single shard; cross-shard memberships are answered with a merged
 //! mixture and marked by a `"shards"` count greater than 1.
 
+use std::fmt::Write as _;
 use std::sync::atomic::Ordering::Relaxed;
 
 use approxrank_engine::{
@@ -19,7 +20,7 @@ use approxrank_objectrank::base_set_from_labels;
 use approxrank_trace::Observer;
 
 use crate::http::{Request, Response};
-use crate::json::{obj, parse, Json};
+use crate::json::{obj, parse, Json, Reader, Writer};
 use crate::metrics::Endpoint;
 use crate::state::{AppState, KeywordKey};
 
@@ -331,25 +332,103 @@ impl RankParams {
     }
 }
 
-fn parse_members(state: &AppState, body: &Json) -> Result<Vec<u32>, String> {
-    let items = body
-        .get("members")
-        .ok_or("missing \"members\"")?
-        .as_array()
-        .ok_or("\"members\" must be an array")?;
-    if items.is_empty() {
-        return Err("\"members\" must be non-empty".into());
-    }
-    let n = state.router.summary().nodes;
-    let mut members = Vec::with_capacity(items.len());
-    for item in items {
-        let id = item
-            .as_u64()
-            .ok_or_else(|| format!("bad member {}", item.emit()))?;
-        if id as usize >= n {
-            return Err(format!("member {id} out of range (graph has {n} nodes)"));
+/// An id-list field as [`Reader::u32_array`] read it: the ids, or — when
+/// some element is not a plain `u32` — the value's tree.
+type IdList = Result<Vec<u32>, Json>;
+
+/// A request object read field by field: the named id-list fields
+/// straight into `Vec<u32>`, every other field into `rest`, an object
+/// tree. Duplicate keys keep the last, as in [`parse`]. A document that
+/// is not an object is all `rest`, so every field reads as missing.
+struct Body {
+    ids: Vec<(&'static str, IdList)>,
+    rest: Json,
+}
+
+impl Body {
+    /// Reads `text`, failing with [`parse`]'s error for malformed JSON.
+    fn read(text: &str, id_fields: &[&'static str]) -> Result<Body, String> {
+        let mut reader = Reader::new(text);
+        if !reader.begin_object() {
+            return Ok(Body {
+                ids: Vec::new(),
+                rest: parse(text)?,
+            });
         }
-        members.push(id as u32);
+        let (mut ids, mut rest) = (Vec::new(), Vec::new());
+        while let Some(key) = reader.next_key()? {
+            match id_fields.iter().find(|&&field| field == key) {
+                Some(&field) => {
+                    let list = reader.u32_array()?;
+                    ids.retain(|(f, _)| *f != field);
+                    ids.push((field, list));
+                }
+                None => rest.push((key, reader.value()?)),
+            }
+        }
+        reader.finish()?;
+        Ok(Body {
+            ids,
+            rest: Json::Obj(rest),
+        })
+    }
+
+    /// Takes an id-list field out of the body (`None` when absent).
+    fn take_ids(&mut self, field: &str) -> Option<IdList> {
+        let at = self.ids.iter().position(|(f, _)| *f == field)?;
+        Some(self.ids.swap_remove(at).1)
+    }
+
+    /// Any other field.
+    fn get(&self, key: &str) -> Option<&Json> {
+        self.rest.get(key)
+    }
+}
+
+/// Why an id list was refused.
+enum IdError {
+    /// The value is not an array.
+    NotArray,
+    /// An element is not a non-negative integer; its JSON text.
+    Bad(String),
+    /// An id names no page.
+    OutOfRange(u64),
+}
+
+/// The ids of a list, checked in element order against the graph's `n`
+/// pages.
+fn checked_ids(list: IdList, n: usize) -> Result<Vec<u32>, IdError> {
+    match list {
+        Ok(ids) => match ids.iter().find(|&&id| id as usize >= n) {
+            Some(&id) => Err(IdError::OutOfRange(id.into())),
+            None => Ok(ids),
+        },
+        Err(tree) => {
+            let items = tree.as_array().ok_or(IdError::NotArray)?;
+            items
+                .iter()
+                .map(|item| {
+                    let id = item.as_u64().ok_or_else(|| IdError::Bad(item.emit()))?;
+                    if id as usize >= n {
+                        return Err(IdError::OutOfRange(id));
+                    }
+                    Ok(id as u32)
+                })
+                .collect()
+        }
+    }
+}
+
+fn parse_members(state: &AppState, list: Option<IdList>) -> Result<Vec<u32>, String> {
+    let list = list.ok_or("missing \"members\"")?;
+    let n = state.router.summary().nodes;
+    let mut members = checked_ids(list, n).map_err(|e| match e {
+        IdError::NotArray => "\"members\" must be an array".to_string(),
+        IdError::Bad(item) => format!("bad member {item}"),
+        IdError::OutOfRange(id) => format!("member {id} out of range (graph has {n} nodes)"),
+    })?;
+    if members.is_empty() {
+        return Err("\"members\" must be non-empty".into());
     }
     members.sort_unstable();
     members.dedup();
@@ -364,8 +443,8 @@ fn parse_rank_params(state: &AppState, raw: &[u8]) -> Result<RankParams, String>
     if text.trim().is_empty() {
         return Err("empty body; expected a JSON object".into());
     }
-    let body = parse(text)?;
-    let members = parse_members(state, &body)?;
+    let mut body = Body::read(text, &["members"])?;
+    let members = parse_members(state, body.take_ids("members"))?;
     let algorithm = match body.get("algorithm") {
         None => Algorithm::ApproxRank,
         Some(v) => Algorithm::parse(v.as_str().ok_or("\"algorithm\" must be a string")?)?,
@@ -420,57 +499,83 @@ fn parse_rank_params(state: &AppState, raw: &[u8]) -> Result<RankParams, String>
     })
 }
 
-fn scores_json(scores: &[(u32, f64)], top: usize) -> Json {
-    let mut pairs: Vec<(u32, f64)> = scores.to_vec();
-    pairs.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    let take = if top == 0 {
-        pairs.len()
-    } else {
-        top.min(pairs.len())
+/// Writes `scores` as the `[{"page":…,"score":…},…]` array, best first
+/// (score descending, then page ascending), cut to the first `top`
+/// (0 = all). Pages are unique, so the order is total and an unstable
+/// sort of indices gives the one answer.
+fn write_scores(out: &mut Writer, scores: &[(u32, f64)], top: usize) {
+    let by_rank = |&a: &u32, &b: &u32| {
+        let ((page_a, score_a), (page_b, score_b)) = (scores[a as usize], scores[b as usize]);
+        score_b.total_cmp(&score_a).then(page_a.cmp(&page_b))
     };
-    Json::Arr(
-        pairs
-            .into_iter()
-            .take(take)
-            .map(|(page, score)| {
-                obj(vec![
-                    ("page", Json::Num(page as f64)),
-                    ("score", Json::Num(score)),
-                ])
-            })
-            .collect(),
-    )
+    let mut order: Vec<u32> = (0..scores.len() as u32).collect();
+    if top > 0 && top < order.len() {
+        order.select_nth_unstable_by(top, by_rank);
+        order.truncate(top);
+    }
+    order.sort_unstable_by(by_rank);
+    out.raw("[");
+    for (i, &at) in order.iter().enumerate() {
+        let (page, score) = scores[at as usize];
+        out.raw(if i == 0 { "{\"page\":" } else { ",{\"page\":" });
+        out.uint(page.into());
+        out.raw(",\"score\":");
+        out.num(score);
+        out.raw("}");
+    }
+    out.raw("]");
 }
 
-fn result_body(
+/// A ranked answer, written straight into the response buffer:
+/// `algorithm, converged, iterations, lambda, cached, shards, scores`,
+/// then `estimate` for estimators, then the endpoint's `extra` fields.
+fn answer(
     algorithm: &str,
     result: &CachedResult,
     top: usize,
     cached: bool,
     shards: usize,
-    extra: Vec<(&str, Json)>,
-) -> Json {
-    let mut pairs = vec![
-        ("algorithm", Json::Str(algorithm.into())),
-        ("converged", Json::Bool(result.converged)),
-        ("iterations", Json::Num(result.iterations as f64)),
-        ("lambda", result.lambda.map(Json::Num).unwrap_or(Json::Null)),
-        ("cached", Json::Bool(cached)),
-        ("shards", Json::Num(shards as f64)),
-        ("scores", scores_json(&result.scores, top)),
-    ];
-    if let Some(est) = result.estimate {
-        pairs.push((
-            "estimate",
-            obj(vec![
-                ("walks", Json::Num(est.walks as f64)),
-                ("epsilon", Json::Num(est.epsilon)),
-                ("residual", Json::Num(est.residual)),
-            ]),
-        ));
+    extra: &[(&str, Json)],
+) -> Response {
+    let rows = match top {
+        0 => result.scores.len(),
+        top => top.min(result.scores.len()),
+    };
+    let mut out = Writer::with_capacity(256 + 48 * rows);
+    out.raw("{\"algorithm\":");
+    out.str(algorithm);
+    out.raw(",\"converged\":");
+    out.bool(result.converged);
+    out.raw(",\"iterations\":");
+    out.uint(result.iterations as u64);
+    out.raw(",\"lambda\":");
+    match result.lambda {
+        Some(lambda) => out.num(lambda),
+        None => out.null(),
     }
-    pairs.extend(extra);
-    obj(pairs)
+    out.raw(",\"cached\":");
+    out.bool(cached);
+    out.raw(",\"shards\":");
+    out.uint(shards as u64);
+    out.raw(",\"scores\":");
+    write_scores(&mut out, &result.scores, top);
+    if let Some(est) = result.estimate {
+        out.raw(",\"estimate\":{\"walks\":");
+        out.num(est.walks as f64);
+        out.raw(",\"epsilon\":");
+        out.num(est.epsilon);
+        out.raw(",\"residual\":");
+        out.num(est.residual);
+        out.raw("}");
+    }
+    for (key, value) in extra {
+        out.raw(",");
+        out.str(key);
+        out.raw(":");
+        out.value(value);
+    }
+    out.raw("}");
+    Response::json(200, out.finish())
 }
 
 fn rank(state: &AppState, request: &Request, obs: &dyn Observer) -> Response {
@@ -483,17 +588,13 @@ fn rank(state: &AppState, request: &Request, obs: &dyn Observer) -> Response {
         Ok(r) => r,
         Err(e) => return engine_error(e),
     };
-    Response::json(
-        200,
-        result_body(
-            params.algorithm.name(),
-            &routed.outcome.result,
-            params.top,
-            routed.outcome.cached,
-            routed.shards,
-            vec![],
-        )
-        .emit(),
+    answer(
+        params.algorithm.name(),
+        &routed.outcome.result,
+        params.top,
+        routed.outcome.cached,
+        routed.shards,
+        &[],
     )
 }
 
@@ -516,34 +617,31 @@ struct KeywordParams {
 /// a 400.
 fn resolve_base(
     state: &AppState,
-    body: &Json,
+    body: &mut Body,
 ) -> Result<(Vec<u32>, Option<String>), (u16, String)> {
     let n = state.router.summary().nodes;
-    match (body.get("keyword"), body.get("base")) {
+    let base = body.take_ids("base");
+    match (body.get("keyword"), base) {
         (Some(_), Some(_)) => Err((
             400,
             "give either \"keyword\" or \"base\", not both".to_string(),
         )),
         (None, None) => Err((400, "missing \"keyword\" or \"base\"".to_string())),
-        (None, Some(value)) => {
-            let items = value
-                .as_array()
-                .ok_or((400, "\"base\" must be an array".to_string()))?;
-            if items.is_empty() {
+        (None, Some(list)) => {
+            let mut base = checked_ids(list, n).map_err(|e| {
+                (
+                    400,
+                    match e {
+                        IdError::NotArray => "\"base\" must be an array".to_string(),
+                        IdError::Bad(item) => format!("bad base page {item}"),
+                        IdError::OutOfRange(id) => {
+                            format!("base page {id} out of range (graph has {n} nodes)")
+                        }
+                    },
+                )
+            })?;
+            if base.is_empty() {
                 return Err((400, "\"base\" must be non-empty".to_string()));
-            }
-            let mut base = Vec::with_capacity(items.len());
-            for item in items {
-                let id = item
-                    .as_u64()
-                    .ok_or_else(|| (400, format!("bad base page {}", item.emit())))?;
-                if id as usize >= n {
-                    return Err((
-                        400,
-                        format!("base page {id} out of range (graph has {n} nodes)"),
-                    ));
-                }
-                base.push(id as u32);
             }
             base.sort_unstable();
             base.dedup();
@@ -558,10 +656,7 @@ fn resolve_base(
             }
             let base = match &state.labels {
                 Some(labels) => base_set_from_labels(labels.iter().map(String::as_str), kw),
-                None => {
-                    let generated: Vec<String> = (0..n).map(|i| format!("page-{i}")).collect();
-                    base_set_from_labels(generated.iter().map(String::as_str), kw)
-                }
+                None => generated_base_set(n, kw),
             };
             if base.is_empty() {
                 return Err((404, format!("keyword {kw:?} matches no page")));
@@ -571,14 +666,34 @@ fn resolve_base(
     }
 }
 
+/// [`base_set_from_labels`] over the generated labels `page-0` …
+/// `page-<n-1>`, matched in one reused buffer instead of n label strings.
+fn generated_base_set(n: usize, keyword: &str) -> Vec<u32> {
+    const PREFIX: &str = "page-";
+    let keyword = keyword.to_lowercase();
+    // The generated labels are already lowercase and hold only these
+    // bytes, so a keyword with any other byte matches none of them.
+    if !keyword.bytes().all(|b| b"page-0123456789".contains(&b)) {
+        return Vec::new();
+    }
+    let mut label = String::from(PREFIX);
+    (0..n as u32)
+        .filter(|&i| {
+            label.truncate(PREFIX.len());
+            let _ = write!(label, "{i}");
+            label.contains(&keyword)
+        })
+        .collect()
+}
+
 fn parse_keyword_params(state: &AppState, raw: &[u8]) -> Result<KeywordParams, (u16, String)> {
     let text = std::str::from_utf8(raw).map_err(|_| (400, "body is not utf-8".to_string()))?;
     if text.trim().is_empty() {
         return Err((400, "empty body; expected a JSON object".to_string()));
     }
-    let body = parse(text).map_err(|e| (400, e))?;
-    let members = parse_members(state, &body).map_err(|e| (400, e))?;
-    let (base, keyword) = resolve_base(state, &body)?;
+    let mut body = Body::read(text, &["members", "base"]).map_err(|e| (400, e))?;
+    let members = parse_members(state, body.take_ids("members")).map_err(|e| (400, e))?;
+    let (base, keyword) = resolve_base(state, &mut body)?;
     let damping = match body.get("damping") {
         None => 0.85,
         Some(v) => v
@@ -635,13 +750,10 @@ fn keyword(state: &AppState, request: &Request, obs: &dyn Observer) -> Response 
         base: params.base.clone(),
         damping_bits: params.damping.to_bits(),
         tolerance_bits: params.tolerance.to_bits(),
-        epoch: state.router.graph_epoch(),
     };
-    if let Some((result, shards)) = state.keyword_cache.get(&key) {
-        return Response::json(
-            200,
-            result_body("objectrank", &result, params.top, true, shards, extra).emit(),
-        );
+    let epoch = state.router.graph_epoch();
+    if let Some((result, shards)) = state.keyword_cache.get(&key, epoch) {
+        return answer("objectrank", &result, params.top, true, shards, &extra);
     }
     let routed = match state.router.keyword(
         &KeywordRequest {
@@ -657,18 +769,14 @@ fn keyword(state: &AppState, request: &Request, obs: &dyn Observer) -> Response 
     };
     state
         .keyword_cache
-        .insert(key, (routed.outcome.result.clone(), routed.shards));
-    Response::json(
-        200,
-        result_body(
-            "objectrank",
-            &routed.outcome.result,
-            params.top,
-            false,
-            routed.shards,
-            extra,
-        )
-        .emit(),
+        .insert(key, epoch, (routed.outcome.result.clone(), routed.shards));
+    answer(
+        "objectrank",
+        &routed.outcome.result,
+        params.top,
+        false,
+        routed.shards,
+        &extra,
     )
 }
 
@@ -770,42 +878,29 @@ fn session_create(state: &AppState, request: &Request, obs: &dyn Observer) -> Re
         Ok(created) => created,
         Err(e) => return engine_error(e),
     };
-    Response::json(
-        200,
-        result_body(
-            params.algorithm.name(),
-            &result,
-            params.top,
-            false,
-            1,
-            vec![
-                ("id", Json::Num(id as f64)),
-                ("members", Json::Num(params.members.len() as f64)),
-            ],
-        )
-        .emit(),
+    answer(
+        params.algorithm.name(),
+        &result,
+        params.top,
+        false,
+        1,
+        &[
+            ("id", Json::Num(id as f64)),
+            ("members", Json::Num(params.members.len() as f64)),
+        ],
     )
 }
 
-fn parse_id_list(state: &AppState, body: &Json, field: &str) -> Result<Vec<u32>, String> {
-    let Some(value) = body.get(field) else {
+fn parse_id_list(state: &AppState, list: Option<IdList>, field: &str) -> Result<Vec<u32>, String> {
+    let Some(list) = list else {
         return Ok(Vec::new());
     };
-    let items = value
-        .as_array()
-        .ok_or_else(|| format!("{field:?} must be an array"))?;
     let n = state.router.summary().nodes;
-    let mut ids = Vec::with_capacity(items.len());
-    for item in items {
-        let id = item
-            .as_u64()
-            .ok_or_else(|| format!("bad id {} in {field:?}", item.emit()))?;
-        if id as usize >= n {
-            return Err(format!("id {id} out of range (graph has {n} nodes)"));
-        }
-        ids.push(id as u32);
-    }
-    Ok(ids)
+    checked_ids(list, n).map_err(|e| match e {
+        IdError::NotArray => format!("{field:?} must be an array"),
+        IdError::Bad(item) => format!("bad id {item} in {field:?}"),
+        IdError::OutOfRange(id) => format!("id {id} out of range (graph has {n} nodes)"),
+    })
 }
 
 fn session_update(state: &AppState, id: u64, request: &Request, obs: &dyn Observer) -> Response {
@@ -813,15 +908,15 @@ fn session_update(state: &AppState, id: u64, request: &Request, obs: &dyn Observ
         Ok(t) if !t.trim().is_empty() => t,
         _ => return Response::error(400, "empty body; expected {\"add\":[…],\"remove\":[…]}"),
     };
-    let body = match parse(text) {
+    let mut body = match Body::read(text, &["add", "remove"]) {
         Ok(b) => b,
         Err(e) => return Response::error(400, &e),
     };
-    let add = match parse_id_list(state, &body, "add") {
+    let add = match parse_id_list(state, body.take_ids("add"), "add") {
         Ok(v) => v,
         Err(e) => return Response::error(400, &e),
     };
-    let remove = match parse_id_list(state, &body, "remove") {
+    let remove = match parse_id_list(state, body.take_ids("remove"), "remove") {
         Ok(v) => v,
         Err(e) => return Response::error(400, &e),
     };
@@ -843,21 +938,17 @@ fn session_update(state: &AppState, id: u64, request: &Request, obs: &dyn Observ
     } else {
         "approxrank"
     };
-    Response::json(
-        200,
-        result_body(
-            algorithm,
-            &result,
-            top,
-            false,
-            1,
-            vec![
-                ("id", Json::Num(id as f64)),
-                ("members", Json::Num(members.len() as f64)),
-                ("warm_start", Json::Bool(true)),
-            ],
-        )
-        .emit(),
+    answer(
+        algorithm,
+        &result,
+        top,
+        false,
+        1,
+        &[
+            ("id", Json::Num(id as f64)),
+            ("members", Json::Num(members.len() as f64)),
+            ("warm_start", Json::Bool(true)),
+        ],
     )
 }
 
@@ -867,33 +958,37 @@ fn session_get(state: &AppState, id: u64) -> Response {
         Ok(None) => return Response::error(404, &format!("no session {id}")),
         Err(e) => return engine_error(e),
     };
-    let body = obj(vec![
-        ("id", Json::Num(id as f64)),
-        (
-            "members",
-            Json::Arr(view.members.iter().map(|&m| Json::Num(m as f64)).collect()),
-        ),
-        ("last_iterations", Json::Num(view.last_iterations as f64)),
-        ("damping", Json::Num(view.damping)),
-        ("tolerance", Json::Num(view.tolerance)),
-        // The last solution, served without re-solving — also what the
-        // crash-recovery smoke test diffs across a restart.
-        (
-            "lambda",
-            view.solution
-                .as_ref()
-                .map(|&(_, lambda)| Json::Num(lambda))
-                .unwrap_or(Json::Null),
-        ),
-        (
-            "scores",
-            view.solution
-                .as_ref()
-                .map(|(scores, _)| scores_json(scores, 0))
-                .unwrap_or(Json::Arr(vec![])),
-        ),
-    ]);
-    Response::json(200, body.emit())
+    let scores = view.solution.as_ref().map_or(0, |(scores, _)| scores.len());
+    let mut out = Writer::with_capacity(256 + 12 * view.members.len() + 48 * scores);
+    out.raw("{\"id\":");
+    out.num(id as f64);
+    out.raw(",\"members\":[");
+    for (i, &member) in view.members.iter().enumerate() {
+        if i > 0 {
+            out.raw(",");
+        }
+        out.uint(member.into());
+    }
+    out.raw("],\"last_iterations\":");
+    out.uint(view.last_iterations as u64);
+    out.raw(",\"damping\":");
+    out.num(view.damping);
+    out.raw(",\"tolerance\":");
+    out.num(view.tolerance);
+    // The last solution, served without re-solving — also what the
+    // crash-recovery smoke test diffs across a restart.
+    out.raw(",\"lambda\":");
+    match &view.solution {
+        Some((_, lambda)) => out.num(*lambda),
+        None => out.null(),
+    }
+    out.raw(",\"scores\":");
+    match &view.solution {
+        Some((scores, _)) => write_scores(&mut out, scores, 0),
+        None => out.raw("[]"),
+    }
+    out.raw("}");
+    Response::json(200, out.finish())
 }
 
 fn session_delete(state: &AppState, id: u64, obs: &dyn Observer) -> Response {
@@ -1604,6 +1699,29 @@ mod tests {
             assert_eq!(r.status, status, "{body}");
             let text = String::from_utf8_lossy(&r.body).to_string();
             assert!(text.contains(needle), "{body} -> {text}");
+        }
+    }
+
+    #[test]
+    fn generated_labels_match_the_materialised_rule() {
+        let n = 1_200;
+        let labels: Vec<String> = (0..n).map(|i| format!("page-{i}")).collect();
+        for kw in [
+            "page-3", "PAGE-1", "age-2", "pagé", "\u{212A}", "zebra", "-", "11", "e-1",
+        ] {
+            assert_eq!(
+                generated_base_set(n, kw),
+                base_set_from_labels(labels.iter().map(String::as_str), kw),
+                "{kw:?}"
+            );
+        }
+        assert_eq!(generated_base_set(n, "PAGE-1").len(), 1 + 10 + 100 + 200);
+        // Through the handler: a keyword matching nothing is a 404.
+        let state = fig4_state();
+        for kw in ["pagé", "page-70"] {
+            let body = format!(r#"{{"members":[0,1],"keyword":"{kw}"}}"#);
+            let (_, r) = route(&state, &post("/keyword", &body));
+            assert_eq!(r.status, 404, "{kw}");
         }
     }
 

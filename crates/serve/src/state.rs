@@ -115,10 +115,9 @@ impl Default for ServeConfig {
     }
 }
 
-/// Cache key for one `POST /keyword` answer. The graph epoch is part of
-/// the key, so a live mutation implicitly invalidates every earlier
-/// keyword answer — stale entries age out of the LRU instead of being
-/// chased down.
+/// Cache key for one `POST /keyword` answer. The graph epoch the answer
+/// was solved under is stored beside the value, not in the key, so a
+/// newer answer replaces a stale one in place (see [`KeywordCache`]).
 #[derive(Clone, Debug, Hash, PartialEq, Eq)]
 pub struct KeywordKey {
     /// The ranked membership (sorted, deduped).
@@ -129,12 +128,21 @@ pub struct KeywordKey {
     pub damping_bits: u64,
     /// `f64::to_bits` of the convergence tolerance.
     pub tolerance_bits: u64,
-    /// Graph epoch the answer was solved under.
-    pub epoch: u64,
+}
+
+/// A cached keyword answer and the shard count it was served with.
+pub type KeywordAnswer = (CachedResult, usize);
+
+/// One slot: the graph epoch of the answer, its recency stamp, and the
+/// answer.
+struct KeywordEntry {
+    epoch: u64,
+    stamp: u64,
+    answer: KeywordAnswer,
 }
 
 struct KeywordCacheInner {
-    map: HashMap<KeywordKey, (u64, (CachedResult, usize))>,
+    map: HashMap<KeywordKey, KeywordEntry>,
     stamp: u64,
     hits: u64,
     misses: u64,
@@ -143,7 +151,10 @@ struct KeywordCacheInner {
 /// A small LRU for served keyword answers. The engine's result cache
 /// cannot hold these — its key has no room for a base set — so the serve
 /// layer owns them: same capacity philosophy, approximate LRU (evict the
-/// least-recently-stamped entry on overflow).
+/// least-recently-stamped entry on overflow), and the engine cache's
+/// epoch rule: a lookup at any other epoch misses, an insert at a newer
+/// epoch replaces the entry in place, and an older insert never rolls it
+/// back.
 pub struct KeywordCache {
     capacity: usize,
     inner: Mutex<KeywordCacheInner>,
@@ -163,44 +174,64 @@ impl KeywordCache {
         }
     }
 
-    /// Looks up `key`, refreshing its recency on a hit. The cached value
-    /// carries the shard count of the original answer so a hit's response
-    /// body differs from the solve only in its `"cached"` flag.
-    pub fn get(&self, key: &KeywordKey) -> Option<(CachedResult, usize)> {
+    /// Looks up `key` as solved under graph `epoch`, refreshing its
+    /// recency on a hit. The cached value carries the shard count of the
+    /// original answer so a hit's response body differs from the solve
+    /// only in its `"cached"` flag.
+    pub fn get(&self, key: &KeywordKey, epoch: u64) -> Option<KeywordAnswer> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.stamp += 1;
         let stamp = inner.stamp;
         match inner.map.get_mut(key) {
-            Some((at, result)) => {
-                *at = stamp;
-                let result = result.clone();
+            Some(entry) if entry.epoch == epoch => {
+                entry.stamp = stamp;
+                let answer = entry.answer.clone();
                 inner.hits += 1;
-                Some(result)
+                Some(answer)
             }
-            None => {
+            _ => {
                 inner.misses += 1;
                 None
             }
         }
     }
 
-    /// Inserts an answer, evicting the least-recently-used entry when
-    /// full.
-    pub fn insert(&self, key: KeywordKey, result: (CachedResult, usize)) {
+    /// Stores an answer solved under graph `epoch`. An entry for the same
+    /// key under an older (or the same) epoch is replaced in place; one
+    /// under a newer epoch is kept. A new key evicts the
+    /// least-recently-used entry when full.
+    pub fn insert(&self, key: KeywordKey, epoch: u64, answer: KeywordAnswer) {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.stamp += 1;
         let stamp = inner.stamp;
-        if inner.map.len() >= self.capacity && !inner.map.contains_key(&key) {
+        if let Some(entry) = inner.map.get_mut(&key) {
+            if entry.epoch <= epoch {
+                *entry = KeywordEntry {
+                    epoch,
+                    stamp,
+                    answer,
+                };
+            }
+            return;
+        }
+        if inner.map.len() >= self.capacity {
             if let Some(oldest) = inner
                 .map
                 .iter()
-                .min_by_key(|(_, (at, _))| *at)
+                .min_by_key(|(_, entry)| entry.stamp)
                 .map(|(k, _)| k.clone())
             {
                 inner.map.remove(&oldest);
             }
         }
-        inner.map.insert(key, (stamp, result));
+        inner.map.insert(
+            key,
+            KeywordEntry {
+                epoch,
+                stamp,
+                answer,
+            },
+        );
     }
 
     /// `(hits, misses, entries)` for `/metrics`.
@@ -356,5 +387,74 @@ fn open_slow_log(config: &ServeConfig) -> Option<Mutex<File>> {
             );
             None
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn key(tag: u32) -> KeywordKey {
+        KeywordKey {
+            members: vec![tag, tag + 1],
+            base: vec![tag],
+            damping_bits: 0.85f64.to_bits(),
+            tolerance_bits: 1e-5f64.to_bits(),
+        }
+    }
+
+    fn answer(tag: usize) -> KeywordAnswer {
+        let result = CachedResult {
+            scores: Arc::new(vec![(tag as u32, 0.5)]),
+            lambda: Some(0.5),
+            iterations: tag,
+            converged: true,
+            estimate: None,
+        };
+        (result, 1)
+    }
+
+    #[test]
+    fn keyword_lookup_at_another_epoch_misses() {
+        let cache = KeywordCache::new(4);
+        cache.insert(key(1), 3, answer(1));
+        assert_eq!(cache.get(&key(1), 3), Some(answer(1)));
+        assert_eq!(cache.get(&key(1), 2), None);
+        assert_eq!(cache.get(&key(1), 4), None);
+        assert_eq!(cache.stats(), (1, 2, 1));
+    }
+
+    #[test]
+    fn newer_keyword_insert_replaces_in_place() {
+        let cache = KeywordCache::new(4);
+        cache.insert(key(1), 0, answer(1));
+        cache.insert(key(2), 0, answer(2));
+        cache.insert(key(1), 1, answer(10));
+        assert_eq!(cache.stats().2, 2, "the stale entry took no new slot");
+        assert_eq!(cache.get(&key(1), 1), Some(answer(10)));
+        assert_eq!(cache.get(&key(1), 0), None);
+        assert_eq!(cache.get(&key(2), 0), Some(answer(2)));
+    }
+
+    #[test]
+    fn older_keyword_insert_never_rolls_back() {
+        let cache = KeywordCache::new(4);
+        cache.insert(key(1), 5, answer(5));
+        cache.insert(key(1), 4, answer(4));
+        assert_eq!(cache.get(&key(1), 5), Some(answer(5)));
+        assert_eq!(cache.get(&key(1), 4), None);
+        assert_eq!(cache.stats().2, 1);
+    }
+
+    #[test]
+    fn keyword_cache_evicts_the_least_recently_used() {
+        let cache = KeywordCache::new(2);
+        cache.insert(key(1), 0, answer(1));
+        cache.insert(key(2), 0, answer(2));
+        assert!(cache.get(&key(1), 0).is_some());
+        cache.insert(key(3), 0, answer(3));
+        assert!(cache.get(&key(2), 0).is_none(), "key 2 was least recent");
+        assert!(cache.get(&key(1), 0).is_some());
+        assert!(cache.get(&key(3), 0).is_some());
     }
 }
