@@ -8,46 +8,41 @@
 //! implementation.
 
 use approxrank_serve::{handlers, http::Request, AppState, ServeConfig};
+use approxrank_store::json::Writer;
 
 use crate::args::KeywordArgs;
 use crate::commands::{load_graph, load_node_ids};
 
 /// Builds the `POST /keyword` JSON body for the parsed flags.
 fn body_from(args: &KeywordArgs, members: &[u32]) -> String {
-    let ids = |v: &[u32]| {
-        v.iter()
-            .map(|id| id.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let mut body = format!("{{\"members\":[{}]", ids(members));
-    if let Some(kw) = &args.keyword {
-        // The keyword is user input; escape it as a JSON string.
-        body.push_str(&format!(",\"keyword\":{}", json_string(kw)));
-    } else {
-        body.push_str(&format!(",\"base\":[{}]", ids(&args.base)));
-    }
-    body.push_str(&format!(
-        ",\"damping\":{:e},\"tolerance\":{:e},\"top\":{}}}",
-        args.damping, args.tolerance, args.top
-    ));
-    body
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let ids = |out: &mut Writer, v: &[u32]| {
+        out.raw("[");
+        for (i, &id) in v.iter().enumerate() {
+            if i > 0 {
+                out.raw(",");
+            }
+            out.uint(id.into());
         }
+        out.raw("]");
+    };
+    let mut out = Writer::default();
+    out.raw("{\"members\":");
+    ids(&mut out, members);
+    if let Some(kw) = &args.keyword {
+        out.raw(",\"keyword\":");
+        out.str(kw);
+    } else {
+        out.raw(",\"base\":");
+        ids(&mut out, &args.base);
     }
-    out.push('"');
-    out
+    out.raw(",\"damping\":");
+    out.num(args.damping);
+    out.raw(",\"tolerance\":");
+    out.num(args.tolerance);
+    out.raw(",\"top\":");
+    out.uint(args.top as u64);
+    out.raw("}");
+    out.finish()
 }
 
 /// Runs the keyword ranking and returns the served JSON body (plus a
@@ -81,6 +76,7 @@ pub fn run(args: &KeywordArgs) -> Result<String, String> {
 mod tests {
     use super::*;
     use approxrank_graph::{io, DiGraph};
+    use approxrank_store::json::parse;
 
     fn fixture(test: &str) -> (String, String) {
         let dir = crate::commands::test_dir(test);
@@ -145,9 +141,12 @@ mod tests {
     }
 
     #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_string("tab\there"), "\"tab\\u0009here\"");
+    fn keyword_is_escaped_in_the_body() {
+        let mut a = args("g", "s");
+        for keyword in ["plain", "a\"b\\c", "tab\there", "\u{1}é"] {
+            a.keyword = Some(keyword.into());
+            let body = parse(&body_from(&a, &[0, 7])).unwrap();
+            assert_eq!(body.get("keyword").and_then(|k| k.as_str()), Some(keyword));
+        }
     }
 }

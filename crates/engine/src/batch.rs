@@ -4,7 +4,7 @@
 //! first arrival leads and solves, the rest wait on the flight and
 //! receive the leader's [`CachedResult`] verbatim. Keys pin *everything
 //! the solve reads* — `/rank` uses the [`CacheKey`] (algorithm, options,
-//! membership, effective graph epoch), keyword queries a [`KeywordKey`]
+//! membership, effective graph epoch), keyword queries a `KeywordKey`
 //! (the same plus the base set) — so a follower's answer is
 //! byte-identical to the solve it would have run itself.
 //!

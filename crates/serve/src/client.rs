@@ -10,6 +10,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use approxrank_store::json::{parse, Json};
+
 /// One status + body exchange.
 #[derive(Clone, Debug)]
 pub struct ClientResponse {
@@ -33,8 +35,8 @@ impl ClientResponse {
     }
 
     /// The body parsed as JSON.
-    pub fn json(&self) -> Result<crate::json::Json, String> {
-        crate::json::parse(&self.text())
+    pub fn json(&self) -> Result<Json, String> {
+        parse(&self.text())
     }
 }
 

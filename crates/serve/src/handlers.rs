@@ -17,10 +17,10 @@ use approxrank_engine::{
     Algorithm, CachedResult, EngineError, EstimatorOptions, KeywordRequest, RankRequest,
 };
 use approxrank_objectrank::base_set_from_labels;
+use approxrank_store::json::{obj, parse, Json, Reader, Writer};
 use approxrank_trace::Observer;
 
 use crate::http::{Request, Response};
-use crate::json::{obj, parse, Json, Reader, Writer};
 use crate::metrics::Endpoint;
 use crate::state::{AppState, KeywordKey};
 
@@ -103,13 +103,16 @@ fn route_session(
 /// as a JSON array, newest last — the same wire format as the slow-query
 /// log, one object per trace.
 fn debug_requests(state: &AppState) -> Response {
-    let traces = state.traces.snapshot();
-    let body = traces
-        .iter()
-        .map(approxrank_trace::request::emit)
-        .collect::<Vec<_>>()
-        .join(",");
-    Response::json(200, format!("[{body}]"))
+    let mut out = Writer::default();
+    out.raw("[");
+    for (i, trace) in state.traces.snapshot().iter().enumerate() {
+        if i > 0 {
+            out.raw(",");
+        }
+        approxrank_trace::request::write(&mut out, trace);
+    }
+    out.raw("]");
+    Response::json(200, out.finish())
 }
 
 /// Maps an engine refusal onto its HTTP status.

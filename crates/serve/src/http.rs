@@ -9,6 +9,8 @@
 
 use std::io::{BufRead, Write};
 
+use approxrank_store::json::{obj, Json};
+
 /// Maximum bytes for the request line plus headers.
 pub const MAX_HEAD: usize = 16 * 1024;
 
@@ -214,11 +216,11 @@ impl Response {
     /// active trace id (when one is in scope) so a client can quote the
     /// exact failing request back to an operator.
     pub fn error(status: u16, message: &str) -> Response {
-        let mut pairs = vec![("error", crate::json::Json::Str(message.into()))];
+        let mut pairs = vec![("error", Json::Str(message.into()))];
         if let Some(id) = approxrank_trace::logging::current_trace_id() {
-            pairs.push(("trace_id", crate::json::Json::Str(id)));
+            pairs.push(("trace_id", Json::Str(id)));
         }
-        Response::json(status, crate::json::obj(pairs).emit())
+        Response::json(status, obj(pairs).emit())
     }
 }
 
@@ -344,7 +346,7 @@ mod tests {
     #[test]
     fn error_envelope() {
         let r = Response::error(400, "bad \"thing\"");
-        let v = crate::json::parse(std::str::from_utf8(&r.body).unwrap()).unwrap();
+        let v = approxrank_store::json::parse(std::str::from_utf8(&r.body).unwrap()).unwrap();
         assert_eq!(v.get("error").unwrap().as_str(), Some("bad \"thing\""));
     }
 
@@ -388,7 +390,7 @@ mod tests {
     fn error_envelope_carries_scoped_trace_id() {
         let _scope = approxrank_trace::logging::trace_scope("tid42");
         let r = Response::error(404, "nope");
-        let v = crate::json::parse(std::str::from_utf8(&r.body).unwrap()).unwrap();
+        let v = approxrank_store::json::parse(std::str::from_utf8(&r.body).unwrap()).unwrap();
         assert_eq!(v.get("trace_id").unwrap().as_str(), Some("tid42"));
     }
 }

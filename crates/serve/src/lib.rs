@@ -105,7 +105,6 @@
 pub mod client;
 pub mod handlers;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod persist;
 pub mod router;

@@ -1,19 +1,24 @@
 //! A minimal JSON value type with a hand-rolled reader and writer.
 //!
 //! The workspace has no serde; this module is the whole story for every
-//! textual format — the serving layer's request/response bodies and the
-//! sharded graph layout's manifest both go through it. It lives here (the
-//! bottom of the dependency graph) so there is exactly one number and
-//! escaping policy and exactly one tokenizer:
+//! textual format — the serving layer's request/response bodies, the
+//! sharded graph layout's manifest, and the trace formats (solver-event
+//! JSONL, request-trace lines and `/debug/requests`, structured log
+//! lines) all go through it. It lives here (the bottom of the dependency
+//! graph) so there is exactly one number and escaping policy and exactly
+//! one tokenizer:
 //!
 //! * [`Writer`] appends compact JSON to one buffer. Its floats use the
 //!   shortest round-trip text (byte-identical to Rust's `{x:?}`, from a
 //!   Ryū-style formatter), so scores survive a write → parse cycle
 //!   bit-for-bit. [`Json::emit`] is a [`Writer`] walking a tree; a
 //!   handler with thousands of scores streams them without one.
-//! * [`Reader`] is a recursive-descent tokenizer with a depth limit.
-//!   [`parse`] builds a [`Json`] tree with it; a caller can also pull a
-//!   top-level object field by field and read an id list straight into
+//!   [`Writer::lossless_f64`] writes exactly `{x:?}` for every `f64`,
+//!   non-finite values included, for the trace formats.
+//! * [`Reader`] is a recursive-descent tokenizer that owns the depth
+//!   limit. [`parse`] builds a [`Json`] tree with it; a caller can also
+//!   pull objects and arrays entry by entry at any depth, read strings,
+//!   exact `u64`s and lossless `f64`s, and read an id list straight into
 //!   `Vec<u32>`.
 
 mod num;
@@ -138,6 +143,14 @@ impl Writer {
         num::write_f64(&mut self.buf, x);
     }
 
+    /// Any `f64` as exactly its `{x:?}` text — `0.0`, `-0.0`, `12.0`,
+    /// `NaN`, `inf` and `-inf` included — so every value reads back bit
+    /// for bit with [`Reader::lossless_f64`]. The text is strict JSON
+    /// only for finite values; the trace formats use it.
+    pub fn lossless_f64(&mut self, x: f64) {
+        num::write_debug_f64(&mut self.buf, x);
+    }
+
     /// A quoted, escaped string.
     pub fn str(&mut self, s: &str) {
         const HEX: &[u8; 16] = b"0123456789abcdef";
@@ -217,7 +230,7 @@ impl Writer {
 /// Parses a JSON document. Trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut reader = Reader::new(input);
-    let v = reader.value_at(0)?;
+    let v = reader.value()?;
     reader.finish()?;
     Ok(v)
 }
@@ -229,16 +242,26 @@ const MAX_DEPTH: usize = 64;
 /// A pull reader over one JSON document — the tokenizer behind
 /// [`parse`].
 ///
-/// Besides building trees, it walks a top-level object member by member
-/// ([`Reader::begin_object`], [`Reader::next_key`]), reading each value
-/// either as a tree ([`Reader::value`]) or, for id lists, straight into
-/// `Vec<u32>` ([`Reader::u32_array`]). Every error is the one [`parse`]
-/// reports for the same text, at the same byte.
+/// The reader sits at one value at a time. It walks objects member by
+/// member ([`Reader::begin_object`], [`Reader::next_key`]) and arrays
+/// element by element ([`Reader::begin_array`], [`Reader::next_element`])
+/// at any depth, and reads each value as a tree ([`Reader::value`]), a
+/// string ([`Reader::str`]), an exact `u64` ([`Reader::u64`]), a
+/// lossless `f64` ([`Reader::lossless_f64`]) or, for id lists, straight
+/// into `Vec<u32>` ([`Reader::u32_array`]). It owns the nesting limit:
+/// a member or element deeper than 64 containers is an error. Read as
+/// trees, every error is the one [`parse`] reports for the same text,
+/// at the same byte.
+#[derive(Clone)]
 pub struct Reader<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
-    /// Whether [`Reader::next_key`] reads the object's first member.
+    /// Containers entered and not yet closed: the depth of the value at
+    /// the reader.
+    depth: usize,
+    /// Whether the next [`Reader::next_key`] or [`Reader::next_element`]
+    /// reads the container's first entry.
     first: bool,
 }
 
@@ -249,37 +272,89 @@ impl<'a> Reader<'a> {
             text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
             first: false,
         };
         reader.skip_ws();
         reader
     }
 
-    /// Enters the document's top-level object. Returns `false`, having
-    /// consumed nothing, when the document is not an object.
+    /// Enters the object at the reader. Returns `false`, having consumed
+    /// nothing, when the value is not an object.
     pub fn begin_object(&mut self) -> bool {
-        if self.peek() != Some(b'{') {
-            return false;
-        }
-        self.pos += 1;
-        self.first = true;
-        true
+        self.begin(b'{')
     }
 
-    /// The next member's key of the top-level object, with its `:`
+    /// The next member's key of the innermost object, with its `:`
     /// consumed; `None` once the closing `}` is read.
     pub fn next_key(&mut self) -> Result<Option<String>, String> {
-        let first = std::mem::replace(&mut self.first, false);
-        self.member_key(first)
+        if !self.next_entry(b'}')? {
+            return Ok(None);
+        }
+        let key = self.str()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        self.within_depth_limit()?;
+        Ok(Some(key))
     }
 
-    /// The current member's value as a tree.
+    /// Enters the array at the reader. Returns `false`, having consumed
+    /// nothing, when the value is not an array.
+    pub fn begin_array(&mut self) -> bool {
+        self.begin(b'[')
+    }
+
+    /// Moves to the next element of the innermost array: `true` when
+    /// there is one, `false` once the closing `]` is read.
+    pub fn next_element(&mut self) -> Result<bool, String> {
+        let more = self.next_entry(b']')?;
+        if more {
+            self.within_depth_limit()?;
+        }
+        Ok(more)
+    }
+
+    /// The value at the reader as a tree.
     pub fn value(&mut self) -> Result<Json, String> {
-        self.value_at(1)
+        match self.peek() {
+            Some(b'{') => {
+                self.begin_object();
+                let mut pairs = Vec::new();
+                while let Some(key) = self.next_key()? {
+                    pairs.push((key, self.value()?));
+                }
+                Ok(Json::Obj(pairs))
+            }
+            Some(b'[') => {
+                self.begin_array();
+                let mut items = Vec::new();
+                while self.next_element()? {
+                    items.push(self.value()?);
+                }
+                Ok(Json::Arr(items))
+            }
+            Some(b'"') => Ok(Json::Str(self.str()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b) if b == b'-' || b.is_ascii_digit() => {
+                let (start, text) = self.number_text()?;
+                text.parse::<f64>()
+                    .map(Json::Num)
+                    .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
+            }
+            Some(b) => Err(format!(
+                "unexpected {:?} at byte {}",
+                char::from(b),
+                self.pos
+            )),
+            None => Err("unexpected end of input".into()),
+        }
     }
 
-    /// The current member's value as ids: `Ok(ids)` when it is an array
-    /// of plain decimal integers that fit in `u32`. Any other value —
+    /// The value at the reader as ids: `Ok(ids)` when it is an array of
+    /// plain decimal integers that fit in `u32`. Any other value —
     /// including `1.0`, `-0`, larger numbers and malformed text — is
     /// read as a tree instead and returned as `Err(tree)` for the
     /// caller's own checks and messages.
@@ -294,128 +369,8 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Checks that only whitespace follows the document.
-    pub fn finish(mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(format!("trailing characters at byte {}", self.pos));
-        }
-        Ok(())
-    }
-
-    /// The fast path of [`Reader::u32_array`]; `None` on anything else.
-    fn plain_u32_array(&mut self) -> Option<Vec<u32>> {
-        if self.peek() != Some(b'[') {
-            return None;
-        }
-        self.pos += 1;
-        let mut ids = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Some(ids);
-        }
-        loop {
-            self.skip_ws();
-            let start = self.pos;
-            let mut id = 0u64;
-            while let Some(b @ b'0'..=b'9') = self.peek() {
-                if self.pos - start == 10 {
-                    return None;
-                }
-                id = id * 10 + u64::from(b - b'0');
-                self.pos += 1;
-            }
-            if self.pos == start || id > u64::from(u32::MAX) {
-                return None;
-            }
-            ids.push(id as u32);
-            // Anything but `,` or `]` here — a fraction, an exponent, a
-            // syntax error — is left to the tree.
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Some(ids);
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn value_at(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_DEPTH {
-            return Err("nesting too deep".into());
-        }
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(b) => Err(format!(
-                "unexpected {:?} at byte {}",
-                char::from(b),
-                self.pos
-            )),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
+    /// The string at the reader.
+    pub fn str(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -477,64 +432,180 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// The number at the reader as an exact `u64`: plain decimal digits,
+    /// no sign, fraction or exponent.
+    pub fn u64(&mut self) -> Result<u64, String> {
+        let (start, text) = self.number_text()?;
+        text.parse()
+            .map_err(|e| format!("bad integer {text:?} at byte {start}: {e}"))
+    }
+
+    /// The number at the reader as the exact `f64` its text names — the
+    /// counterpart of [`Writer::lossless_f64`], so besides JSON numbers
+    /// it reads `NaN`, `inf` and `-inf`. Only this method accepts them.
+    pub fn lossless_f64(&mut self) -> Result<f64, String> {
+        for (word, x) in [
+            ("NaN", f64::NAN),
+            ("inf", f64::INFINITY),
+            ("-inf", f64::NEG_INFINITY),
+        ] {
+            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+                self.pos += word.len();
+                return Ok(x);
+            }
+        }
+        let (start, text) = self.number_text()?;
+        text.parse()
+            .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
+    }
+
+    /// Checks that only whitespace follows the document.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing characters at byte {}", self.pos));
+        }
+        Ok(())
+    }
+
+    /// The fast path of [`Reader::u32_array`]; `None` on anything else.
+    fn plain_u32_array(&mut self) -> Option<Vec<u32>> {
+        if self.peek() != Some(b'[') {
+            return None;
+        }
+        self.pos += 1;
+        let mut ids = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Some(ids);
+        }
+        // Elements past the nesting limit are the tree's error.
+        if self.depth >= MAX_DEPTH {
+            return None;
         }
         loop {
             self.skip_ws();
-            items.push(self.value_at(depth + 1)?);
+            let start = self.pos;
+            let mut id = 0u64;
+            while let Some(b @ b'0'..=b'9') = self.peek() {
+                if self.pos - start == 10 {
+                    return None;
+                }
+                id = id * 10 + u64::from(b - b'0');
+                self.pos += 1;
+            }
+            if self.pos == start || id > u64::from(u32::MAX) {
+                return None;
+            }
+            ids.push(id as u32);
+            // Anything but `,` or `]` here — a fraction, an exponent, a
+            // syntax error — is left to the tree.
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Some(ids);
                 }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+                _ => return None,
             }
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        let mut first = true;
-        while let Some(key) = self.member_key(std::mem::take(&mut first))? {
-            pairs.push((key, self.value_at(depth + 1)?));
-        }
-        Ok(Json::Obj(pairs))
-    }
-
-    /// Inside an object whose `{` is consumed: the next member's key with
-    /// its `:` consumed, or `None` once the closing `}` is consumed.
-    fn member_key(&mut self, first: bool) -> Result<Option<String>, String> {
-        self.skip_ws();
-        if first {
-            if self.peek() == Some(b'}') {
+    fn skip_ws(&mut self) {
+        while let Some(&b) = self.bytes.get(self.pos) {
+            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
-                return Ok(None);
-            }
-        } else {
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(None);
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+            } else {
+                break;
             }
         }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected {:?} at byte {}", char::from(b), self.pos))
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(format!("bad literal at byte {}", self.pos))
+        }
+    }
+
+    /// The number token at the reader: a `-` or a digit, then the run of
+    /// characters a JSON number can hold (the caller's parser judges it).
+    fn number_text(&mut self) -> Result<(usize, &'a str), String> {
+        let start = self.pos;
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(format!("expected a number at byte {start}"));
+        }
+        self.pos += 1;
+        while let Some(b) = self.peek() {
+            if b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-') {
+                self.pos += 1;
+            } else {
+                break;
+            }
+        }
+        Ok((start, &self.text[start..self.pos]))
+    }
+
+    /// Consumes the container's opening `open`, if it is at the reader.
+    fn begin(&mut self, open: u8) -> bool {
+        if self.peek() != Some(open) {
+            return false;
+        }
+        self.pos += 1;
+        self.depth += 1;
+        self.first = true;
+        true
+    }
+
+    /// Inside a container whose opening is consumed: moves past the
+    /// separator to the next entry, or consumes the closing `close` and
+    /// returns `false`.
+    fn next_entry(&mut self, close: u8) -> Result<bool, String> {
+        let first = std::mem::replace(&mut self.first, false);
         self.skip_ws();
-        let key = self.string()?;
-        self.skip_ws();
-        self.expect(b':')?;
-        self.skip_ws();
-        Ok(Some(key))
+        match self.peek() {
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                return Ok(false);
+            }
+            Some(b',') if !first => {
+                self.pos += 1;
+                self.skip_ws();
+            }
+            _ if first => {}
+            _ => {
+                let close = char::from(close);
+                return Err(format!("expected ',' or {close:?} at byte {}", self.pos));
+            }
+        }
+        Ok(true)
+    }
+
+    /// Checks that a member or element about to be read sits within the
+    /// nesting limit.
+    fn within_depth_limit(&self) -> Result<(), String> {
+        if self.depth > MAX_DEPTH {
+            return Err("nesting too deep".into());
+        }
+        Ok(())
     }
 }
 
@@ -853,6 +924,149 @@ mod tests {
         }
     }
 
+    /// Rebuilds a tree with the pull API: containers entered through
+    /// `begin_*` and walked through `next_*`, scalars read as trees.
+    fn pull_tree(reader: &mut Reader) -> Result<Json, String> {
+        if reader.begin_object() {
+            let mut pairs = Vec::new();
+            while let Some(key) = reader.next_key()? {
+                pairs.push((key, pull_tree(reader)?));
+            }
+            Ok(Json::Obj(pairs))
+        } else if reader.begin_array() {
+            let mut items = Vec::new();
+            while reader.next_element()? {
+                items.push(pull_tree(reader)?);
+            }
+            Ok(Json::Arr(items))
+        } else {
+            reader.value()
+        }
+    }
+
+    fn pull_document(text: &str) -> Result<Json, String> {
+        let mut reader = Reader::new(text);
+        let tree = pull_tree(&mut reader)?;
+        reader.finish()?;
+        Ok(tree)
+    }
+
+    #[test]
+    fn nested_pulls_read_typed_values() {
+        let text = r#"{"a":[["x",18446744073709551615],["y",0]],"b":{"c":[NaN,-inf,inf,-0.0,5e-324]},"d":"é"}"#;
+        let mut reader = Reader::new(text);
+        assert!(reader.begin_object());
+        assert_eq!(reader.next_key().unwrap().as_deref(), Some("a"));
+        assert!(reader.begin_array());
+        let mut pairs = Vec::new();
+        while reader.next_element().unwrap() {
+            assert!(reader.begin_array());
+            assert!(reader.next_element().unwrap());
+            let name = reader.str().unwrap();
+            assert!(reader.next_element().unwrap());
+            pairs.push((name, reader.u64().unwrap()));
+            assert!(!reader.next_element().unwrap());
+        }
+        assert_eq!(pairs, [("x".to_string(), u64::MAX), ("y".to_string(), 0)]);
+        assert_eq!(reader.next_key().unwrap().as_deref(), Some("b"));
+        assert!(reader.begin_object());
+        assert_eq!(reader.next_key().unwrap().as_deref(), Some("c"));
+        assert!(!reader.begin_object());
+        assert!(reader.begin_array());
+        let mut floats = Vec::new();
+        while reader.next_element().unwrap() {
+            floats.push(reader.lossless_f64().unwrap().to_bits());
+        }
+        let want = [f64::NAN, f64::NEG_INFINITY, f64::INFINITY, -0.0, 5e-324];
+        assert_eq!(floats, want.map(f64::to_bits));
+        assert_eq!(reader.next_key().unwrap(), None);
+        assert_eq!(reader.next_key().unwrap().as_deref(), Some("d"));
+        assert_eq!(reader.str().unwrap(), "é");
+        assert_eq!(reader.next_key().unwrap(), None);
+        reader.finish().unwrap();
+    }
+
+    #[test]
+    fn typed_pulls_refuse_other_values() {
+        for (text, wants_integer) in [
+            ("18446744073709551616", true),
+            ("1.0", true),
+            ("-1", true),
+            ("\"1\"", true),
+            ("NaN", true),
+            ("\"NaN\"", false),
+            ("nan", false),
+            ("+1", false),
+            ("x", false),
+        ] {
+            assert!(Reader::new(text).u64().is_err(), "{text}");
+            if !wants_integer {
+                assert!(Reader::new(text).lossless_f64().is_err(), "{text}");
+            }
+        }
+        assert!(Reader::new("1").str().is_err());
+        // Trees stay strict JSON: only the lossless pull reads non-finite
+        // values.
+        for text in ["NaN", "[inf]", "{\"x\":-inf}"] {
+            assert!(parse(text).is_err(), "{text}");
+        }
+    }
+
+    #[test]
+    fn lossless_floats_round_trip_every_value() {
+        for x in [
+            0.0,
+            -0.0,
+            12.0,
+            0.1,
+            1e-7,
+            1e300,
+            5e-324,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            let mut out = Writer::default();
+            out.lossless_f64(x);
+            let text = out.finish();
+            assert_eq!(text, format!("{x:?}"));
+            let back = Reader::new(&text).lossless_f64().unwrap();
+            assert_eq!(back.to_bits(), x.to_bits(), "{text}");
+        }
+    }
+
+    #[test]
+    fn pulls_own_the_depth_limit() {
+        // Deep documents fail at the limit, not on the stack.
+        let deep = "[".repeat(10_000);
+        let mut reader = Reader::new(&deep);
+        let mut levels = 0;
+        let err = loop {
+            assert!(reader.begin_array());
+            match reader.next_element() {
+                Ok(more) => assert!(more),
+                Err(e) => break e,
+            }
+            levels += 1;
+        };
+        assert_eq!((levels, err.as_str()), (MAX_DEPTH, "nesting too deep"));
+        let deep = "{\"a\":".repeat(10_000);
+        assert_eq!(pull_document(&deep), parse(&deep));
+        // The last level that still holds members, and one past it.
+        let fits = "[".repeat(MAX_DEPTH) + "1" + &"]".repeat(MAX_DEPTH);
+        assert!(pull_document(&fits).is_ok());
+        let over = "[".repeat(MAX_DEPTH + 1) + "1" + &"]".repeat(MAX_DEPTH + 1);
+        assert_eq!(pull_document(&over), Err("nesting too deep".to_string()));
+        let ids = "{\"a\":".repeat(MAX_DEPTH) + "[1]" + &"}".repeat(MAX_DEPTH);
+        let mut reader = Reader::new(&ids);
+        for _ in 0..MAX_DEPTH {
+            assert!(reader.begin_object());
+            reader.next_key().unwrap();
+        }
+        assert_eq!(reader.u32_array(), Err("nesting too deep".to_string()));
+    }
+
     proptest! {
         /// `parse ∘ emit` is the identity on arbitrary trees — structure,
         /// duplicate object keys, pathological strings, and every f64
@@ -899,12 +1113,15 @@ mod tests {
                 list.join(" , "),
             );
             prop_assert_eq!(pull(&text), parse(&text));
+            prop_assert_eq!(pull_document(&text), parse(&text));
             let at = (cut as usize) % (text.len() + 1);
             if text.is_char_boundary(at) {
                 let truncated = &text[..at];
                 prop_assert_eq!(pull(truncated), parse(truncated));
+                prop_assert_eq!(pull_document(truncated), parse(truncated));
                 let corrupt = format!("{}{}{}", &text[..at], char::from(NOISE[(cut >> 32) as usize % NOISE.len()]), &text[at..]);
                 prop_assert_eq!(pull(&corrupt), parse(&corrupt));
+                prop_assert_eq!(pull_document(&corrupt), parse(&corrupt));
             }
         }
     }

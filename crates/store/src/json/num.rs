@@ -76,6 +76,20 @@ pub(super) fn write_f64(out: &mut Vec<u8>, x: f64) {
     }
 }
 
+/// Appends `x` exactly as `{x:?}`, for every `f64`: zeros keep their
+/// sign and `.0`, and non-finite values print `NaN`, `inf` or `-inf`.
+pub(super) fn write_debug_f64(out: &mut Vec<u8>, x: f64) {
+    let text: &[u8] = match x {
+        _ if x.is_nan() => b"NaN",
+        f64::INFINITY => b"inf",
+        f64::NEG_INFINITY => b"-inf",
+        0.0 if x.is_sign_negative() => b"-0.0",
+        0.0 => b"0.0",
+        _ => return write_shortest(out, x),
+    };
+    out.extend_from_slice(text);
+}
+
 /// `{x:?}` for a finite, non-zero `x`.
 fn write_shortest(out: &mut Vec<u8>, x: f64) {
     let bits = x.to_bits();
@@ -376,8 +390,20 @@ mod tests {
         }
     }
 
+    fn debug_text(x: f64) -> String {
+        let mut out = Vec::new();
+        write_debug_f64(&mut out, x);
+        String::from_utf8(out).unwrap()
+    }
+
     fn check(x: f64) {
         assert_eq!(ours(x), reference(x), "bits {:#018x}", x.to_bits());
+        assert_eq!(
+            debug_text(x),
+            format!("{x:?}"),
+            "bits {:#018x}",
+            x.to_bits()
+        );
     }
 
     /// A SplitMix64 stream.
@@ -513,6 +539,22 @@ mod tests {
         assert_eq!(ours(1e16), "1e16");
         assert_eq!(ours(1e15 + 0.25), "1000000000000000.3");
         assert_eq!(ours(1.5e-5), "1.5e-5");
+    }
+
+    #[test]
+    fn debug_text_covers_zeros_integers_and_non_finite_values() {
+        for x in [
+            0.0,
+            -0.0,
+            12.0,
+            -3.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(debug_text(x), format!("{x:?}"));
+        }
     }
 
     #[test]

@@ -1,78 +1,66 @@
 //! JSON-lines export and import for [`Event`] streams.
 //!
-//! One event per line, flat objects only. Both directions are hand
-//! rolled — this crate has no serde. Floats are written with Rust's
-//! shortest round-trip `{:?}` formatting, so `parse(&emit(events))`
-//! reproduces the input bit-for-bit; non-finite floats emit as `NaN` /
-//! `inf` / `-inf` (a deviation from strict JSON that only this parser
-//! needs to read back).
+//! One event per line, flat objects only, read and written through the
+//! workspace's one JSON codec ([`approxrank_store::json`]). Floats are
+//! written with Rust's shortest round-trip `{:?}` text, so
+//! `parse(&emit(events))` reproduces the input bit-for-bit; non-finite
+//! floats emit as `NaN` / `inf` / `-inf` (a deviation from strict JSON
+//! that only the codec's lossless float reader accepts).
+
+use approxrank_store::json::{Reader, Writer};
 
 use crate::Event;
 
 /// Serializes events, one JSON object per line (trailing newline
 /// included when non-empty).
 pub fn emit(events: &[Event]) -> String {
-    let mut out = String::new();
+    let mut out = Writer::default();
     for event in events {
-        emit_event(&mut out, event);
-        out.push('\n');
+        write_event(&mut out, event);
+        out.raw("\n");
     }
-    out
+    out.finish()
 }
 
-fn emit_event(out: &mut String, event: &Event) {
-    match event {
-        Event::SpanStart { name } => {
-            out.push_str("{\"type\":\"span_start\",\"name\":");
-            emit_str(out, name);
-            out.push('}');
-        }
-        Event::SpanEnd { name, elapsed_ns } => {
-            out.push_str("{\"type\":\"span_end\",\"name\":");
-            emit_str(out, name);
-            out.push_str(&format!(",\"elapsed_ns\":{elapsed_ns}}}"));
-        }
-        Event::Counter { name, value } => {
-            out.push_str("{\"type\":\"counter\",\"name\":");
-            emit_str(out, name);
-            out.push_str(&format!(",\"value\":{value}}}"));
-        }
-        Event::Gauge { name, value } => {
-            out.push_str("{\"type\":\"gauge\",\"name\":");
-            emit_str(out, name);
-            out.push_str(&format!(",\"value\":{value:?}}}"));
-        }
+fn write_event(out: &mut Writer, event: &Event) {
+    let (kind, name_key) = match event {
+        Event::SpanStart { .. } => ("span_start", "name"),
+        Event::SpanEnd { .. } => ("span_end", "name"),
+        Event::Counter { .. } => ("counter", "name"),
+        Event::Gauge { .. } => ("gauge", "name"),
+        Event::Iteration { .. } => ("iteration", "solver"),
+    };
+    out.raw("{\"type\":");
+    out.str(kind);
+    key(out, name_key).str(event.name());
+    match *event {
+        Event::SpanStart { .. } => {}
+        Event::SpanEnd { elapsed_ns, .. } => key(out, "elapsed_ns").uint(elapsed_ns),
+        Event::Counter { value, .. } => key(out, "value").uint(value),
+        Event::Gauge { value, .. } => key(out, "value").lossless_f64(value),
         Event::Iteration {
-            solver,
             iteration,
             residual,
             dangling_mass,
             elapsed_ns,
+            ..
         } => {
-            out.push_str("{\"type\":\"iteration\",\"solver\":");
-            emit_str(out, solver);
-            out.push_str(&format!(
-                ",\"iteration\":{iteration},\"residual\":{residual:?},\
-                 \"dangling_mass\":{dangling_mass:?},\"elapsed_ns\":{elapsed_ns}}}"
-            ));
+            key(out, "iteration").uint(iteration as u64);
+            key(out, "residual").lossless_f64(residual);
+            key(out, "dangling_mass").lossless_f64(dangling_mass);
+            key(out, "elapsed_ns").uint(elapsed_ns);
         }
     }
+    out.raw("}");
 }
 
-fn emit_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// Writes `,"name":` — the separator and key of every member after an
+/// object's first — and returns the writer for the value.
+pub(crate) fn key<'w>(out: &'w mut Writer, name: &str) -> &'w mut Writer {
+    out.raw(",");
+    out.str(name);
+    out.raw(":");
+    out
 }
 
 /// Parses the output of [`emit`] (blank lines ignored). Returns the
@@ -91,183 +79,90 @@ pub fn parse(input: &str) -> Result<Vec<Event>, String> {
     Ok(events)
 }
 
-/// A scanned field value: strings decoded, numbers kept raw so integer
-/// fields parse without a float round-trip.
+/// A `value` member, read before `type` may be known: an integer when
+/// its text is one.
 enum Value {
-    Str(String),
-    Num(String),
+    Int(u64),
+    Float(f64),
 }
 
-impl Value {
-    fn as_str(&self) -> Result<&str, String> {
-        match self {
-            Value::Str(s) => Ok(s),
-            Value::Num(n) => Err(format!("expected string, got number {n}")),
-        }
+fn read_value(r: &mut Reader) -> Result<Value, String> {
+    let mut integer = r.clone();
+    if let Ok(v) = integer.u64() {
+        *r = integer;
+        return Ok(Value::Int(v));
     }
-
-    fn as_u64(&self) -> Result<u64, String> {
-        match self {
-            Value::Num(n) => n.parse().map_err(|e| format!("bad integer {n}: {e}")),
-            Value::Str(s) => Err(format!("expected number, got string {s:?}")),
-        }
-    }
-
-    fn as_f64(&self) -> Result<f64, String> {
-        match self {
-            Value::Num(n) => match n.as_str() {
-                "inf" => Ok(f64::INFINITY),
-                "-inf" => Ok(f64::NEG_INFINITY),
-                "NaN" => Ok(f64::NAN),
-                n => n.parse().map_err(|e| format!("bad float {n}: {e}")),
-            },
-            Value::Str(s) => Err(format!("expected number, got string {s:?}")),
-        }
-    }
+    r.lossless_f64().map(Value::Float)
 }
 
+/// Parses one flat event object; members may come in any order (a
+/// repeated one keeps the last), unknown ones are skipped.
 fn parse_line(line: &str) -> Result<Event, String> {
-    let fields = scan_object(line)?;
-    let get = |key: &str| -> Result<&Value, String> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field {key:?}"))
-    };
-    match get("type")?.as_str()? {
+    let mut r = Reader::new(line);
+    object(&mut r)?;
+    let (mut kind, mut name, mut solver, mut value) = (None, None, None, None);
+    let (mut iteration, mut residual, mut dangling_mass, mut elapsed_ns) = (None, None, None, None);
+    while let Some(member) = r.next_key()? {
+        match member.as_str() {
+            "type" => kind = Some(r.str()?),
+            "name" => name = Some(r.str()?),
+            "solver" => solver = Some(r.str()?),
+            "value" => value = Some(read_value(&mut r)?),
+            "iteration" => iteration = Some(r.u64()?),
+            "residual" => residual = Some(r.lossless_f64()?),
+            "dangling_mass" => dangling_mass = Some(r.lossless_f64()?),
+            "elapsed_ns" => elapsed_ns = Some(r.u64()?),
+            _ => {
+                r.value()?;
+            }
+        }
+    }
+    r.finish()?;
+    match required(kind, "type")?.as_str() {
         "span_start" => Ok(Event::SpanStart {
-            name: get("name")?.as_str()?.to_string(),
+            name: required(name, "name")?,
         }),
         "span_end" => Ok(Event::SpanEnd {
-            name: get("name")?.as_str()?.to_string(),
-            elapsed_ns: get("elapsed_ns")?.as_u64()?,
+            name: required(name, "name")?,
+            elapsed_ns: required(elapsed_ns, "elapsed_ns")?,
         }),
         "counter" => Ok(Event::Counter {
-            name: get("name")?.as_str()?.to_string(),
-            value: get("value")?.as_u64()?,
+            name: required(name, "name")?,
+            value: match required(value, "value")? {
+                Value::Int(v) => v,
+                Value::Float(x) => return Err(format!("expected an integer value, got {x:?}")),
+            },
         }),
         "gauge" => Ok(Event::Gauge {
-            name: get("name")?.as_str()?.to_string(),
-            value: get("value")?.as_f64()?,
+            name: required(name, "name")?,
+            value: match required(value, "value")? {
+                Value::Int(v) => v as f64,
+                Value::Float(x) => x,
+            },
         }),
         "iteration" => Ok(Event::Iteration {
-            solver: get("solver")?.as_str()?.to_string(),
-            iteration: get("iteration")?.as_u64()? as usize,
-            residual: get("residual")?.as_f64()?,
-            dangling_mass: get("dangling_mass")?.as_f64()?,
-            elapsed_ns: get("elapsed_ns")?.as_u64()?,
+            solver: required(solver, "solver")?,
+            iteration: required(iteration, "iteration")? as usize,
+            residual: required(residual, "residual")?,
+            dangling_mass: required(dangling_mass, "dangling_mass")?,
+            elapsed_ns: required(elapsed_ns, "elapsed_ns")?,
         }),
         other => Err(format!("unknown event type {other:?}")),
     }
 }
 
-/// Scans a single flat JSON object `{"k": v, ...}` with string or number
-/// values.
-fn scan_object(line: &str) -> Result<Vec<(String, Value)>, String> {
-    let mut chars = line.chars().peekable();
-    let mut fields = Vec::new();
-    expect(&mut chars, '{')?;
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
+/// Enters the object at the reader.
+pub(crate) fn object(r: &mut Reader) -> Result<(), String> {
+    if r.begin_object() {
+        Ok(())
     } else {
-        loop {
-            skip_ws(&mut chars);
-            let key = scan_string(&mut chars)?;
-            skip_ws(&mut chars);
-            expect(&mut chars, ':')?;
-            skip_ws(&mut chars);
-            let value = match chars.peek() {
-                Some('"') => Value::Str(scan_string(&mut chars)?),
-                Some(_) => Value::Num(scan_number(&mut chars)?),
-                None => return Err("unexpected end of line".into()),
-            };
-            fields.push((key, value));
-            skip_ws(&mut chars);
-            match chars.next() {
-                Some(',') => continue,
-                Some('}') => break,
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-    skip_ws(&mut chars);
-    match chars.next() {
-        None => Ok(fields),
-        Some(c) => Err(format!("trailing character {c:?}")),
+        Err("expected an object".into())
     }
 }
 
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars>) {
-    while chars.peek().is_some_and(|c| c.is_ascii_whitespace()) {
-        chars.next();
-    }
-}
-
-fn expect(chars: &mut std::iter::Peekable<std::str::Chars>, want: char) -> Result<(), String> {
-    match chars.next() {
-        Some(c) if c == want => Ok(()),
-        other => Err(format!("expected {want:?}, got {other:?}")),
-    }
-}
-
-fn scan_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Result<String, String> {
-    expect(chars, '"')?;
-    let mut s = String::new();
-    loop {
-        match chars.next() {
-            None => return Err("unterminated string".into()),
-            Some('"') => return Ok(s),
-            Some('\\') => match chars.next() {
-                Some('"') => s.push('"'),
-                Some('\\') => s.push('\\'),
-                Some('/') => s.push('/'),
-                Some('n') => s.push('\n'),
-                Some('t') => s.push('\t'),
-                Some('r') => s.push('\r'),
-                Some('b') => s.push('\u{0008}'),
-                Some('f') => s.push('\u{000C}'),
-                Some('u') => {
-                    let code = scan_hex4(chars)?;
-                    match char::from_u32(code) {
-                        Some(c) => s.push(c),
-                        // Surrogate pairs: names here are ASCII, so a
-                        // lone surrogate is simply rejected.
-                        None => return Err(format!("invalid \\u escape {code:04x}")),
-                    }
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some(c) => s.push(c),
-        }
-    }
-}
-
-fn scan_hex4(chars: &mut std::iter::Peekable<std::str::Chars>) -> Result<u32, String> {
-    let mut code = 0u32;
-    for _ in 0..4 {
-        let c = chars.next().ok_or("truncated \\u escape")?;
-        code = code * 16
-            + c.to_digit(16)
-                .ok_or_else(|| format!("bad hex digit {c:?}"))?;
-    }
-    Ok(code)
-}
-
-fn scan_number(chars: &mut std::iter::Peekable<std::str::Chars>) -> Result<String, String> {
-    let mut s = String::new();
-    while chars
-        .peek()
-        .is_some_and(|&c| c.is_ascii_alphanumeric() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-    {
-        s.push(chars.next().unwrap());
-    }
-    if s.is_empty() {
-        Err("expected a number".into())
-    } else {
-        Ok(s)
-    }
+/// A member that must be present.
+pub(crate) fn required<T>(value: Option<T>, key: &str) -> Result<T, String> {
+    value.ok_or_else(|| format!("missing field {key:?}"))
 }
 
 #[cfg(test)]

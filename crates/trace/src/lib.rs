@@ -17,9 +17,10 @@
 //! calls and no heap traffic beyond what it already did.
 //!
 //! Collectors live in [`recorder`] (thread-safe in-memory [`Recorder`]),
-//! with exporters in [`jsonl`] (line-delimited JSON, hand-rolled — this
-//! crate has zero dependencies) and [`report`] (aggregated human-readable
-//! tables). The serving stack's request-scoped layer lives in
+//! with exporters in [`jsonl`] (line-delimited JSON) and [`report`]
+//! (aggregated human-readable tables). Every text format here is written
+//! and read by the workspace's one JSON codec, `approxrank_store::json`
+//! — this crate's only dependency. The serving stack's request-scoped layer lives in
 //! [`request`] (trace ids, per-request span trees, the `/debug/requests`
 //! ring) and [`logging`] (structured leveled JSONL logging that stamps
 //! every line with the active trace id); [`Tee`] fans one event stream

@@ -1,4 +1,4 @@
-//! Structured leveled logging — hand-rolled, zero-dependency JSONL.
+//! Structured leveled logging — JSONL through the workspace's JSON codec.
 //!
 //! One process-wide logger writes one JSON object per line to stderr (the
 //! default) or a file. Every line carries a millisecond timestamp, the
@@ -15,6 +15,10 @@
 use std::cell::RefCell;
 use std::io::Write;
 use std::sync::Mutex;
+
+use approxrank_store::json::Writer;
+
+use crate::jsonl::key;
 
 /// Log severity, least to most severe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -168,28 +172,24 @@ pub fn log_with(level: Level, target: &str, message: &str, fields: &[(&str, &str
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis() as u64)
         .unwrap_or(0);
-    let mut line = format!(
-        "{{\"ts_ms\":{ts_ms},\"level\":\"{}\",\"target\":",
-        level.label()
-    );
-    emit_str(&mut line, target);
-    line.push_str(",\"msg\":");
-    emit_str(&mut line, message);
-    if let Some(trace_id) = current_trace_id() {
-        line.push_str(",\"trace_id\":");
-        emit_str(&mut line, &trace_id);
+    let mut line = Writer::with_capacity(128);
+    line.raw("{\"ts_ms\":");
+    line.uint(ts_ms);
+    key(&mut line, "level").str(level.label());
+    let (trace_id, tenant) = (current_trace_id(), current_tenant());
+    let mut members = vec![("target", target), ("msg", message)];
+    if let Some(trace_id) = &trace_id {
+        members.push(("trace_id", trace_id));
     }
-    if let Some(tenant) = current_tenant() {
-        line.push_str(",\"tenant\":");
-        emit_str(&mut line, &tenant);
+    if let Some(tenant) = &tenant {
+        members.push(("tenant", tenant));
     }
-    for (key, value) in fields {
-        line.push(',');
-        emit_str(&mut line, key);
-        line.push(':');
-        emit_str(&mut line, value);
+    members.extend_from_slice(fields);
+    for (name, value) in members {
+        key(&mut line, name).str(value);
     }
-    line.push_str("}\n");
+    line.raw("}\n");
+    let line = line.finish();
     match &mut logger.sink {
         Sink::Stderr => {
             let _ = std::io::stderr().write_all(line.as_bytes());
@@ -199,22 +199,6 @@ pub fn log_with(level: Level, target: &str, message: &str, fields: &[(&str, &str
         }
         Sink::Buffer(buf) => buf.extend_from_slice(line.as_bytes()),
     }
-}
-
-fn emit_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -22,6 +22,9 @@ use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::Instant;
 
+use approxrank_store::json::{Reader, Writer};
+
+use crate::jsonl::{key, object, required};
 use crate::{Event, Observer};
 
 /// Trace-id helpers: 16-hex-char request identifiers.
@@ -293,74 +296,56 @@ impl TraceRing {
 // ---------------------------------------------------------------------
 
 /// Serializes one trace as a single-line JSON object (no trailing
-/// newline). Field order is fixed, floats use shortest round-trip `{:?}`
-/// formatting (`NaN` / `inf` / `-inf` for non-finite), so
-/// `parse_line(&emit(t)) == t` bit-for-bit.
+/// newline): the text [`write()`] appends.
 pub fn emit(trace: &RequestTrace) -> String {
-    let mut out = String::new();
-    out.push_str("{\"trace_id\":");
-    emit_str(&mut out, &trace.trace_id);
-    out.push_str(",\"method\":");
-    emit_str(&mut out, &trace.method);
-    out.push_str(",\"path\":");
-    emit_str(&mut out, &trace.path);
-    out.push_str(&format!(
-        ",\"status\":{},\"total_ns\":{},\"root\":",
-        trace.status, trace.total_ns
-    ));
-    emit_node(&mut out, &trace.root);
-    out.push('}');
-    out
+    let mut out = Writer::default();
+    write(&mut out, trace);
+    out.finish()
 }
 
-fn emit_node(out: &mut String, node: &SpanNode) {
-    out.push_str("{\"name\":");
-    emit_str(out, &node.name);
-    out.push_str(&format!(
-        ",\"start_ns\":{},\"elapsed_ns\":{},\"iterations\":{},\"counters\":[",
-        node.start_ns, node.elapsed_ns, node.iterations
-    ));
-    for (i, (name, value)) in node.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        emit_str(out, name);
-        out.push_str(&format!(",{value}]"));
-    }
-    out.push_str("],\"gauges\":[");
-    for (i, (name, value)) in node.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        emit_str(out, name);
-        out.push_str(&format!(",{value:?}]"));
-    }
-    out.push_str("],\"children\":[");
+/// Appends one trace as a single-line JSON object. Field order is fixed
+/// and floats use shortest round-trip `{:?}` text (`NaN` / `inf` /
+/// `-inf` for non-finite), so `parse_line(&emit(t)) == t` bit-for-bit.
+pub fn write(out: &mut Writer, trace: &RequestTrace) {
+    out.raw("{\"trace_id\":");
+    out.str(&trace.trace_id);
+    key(out, "method").str(&trace.method);
+    key(out, "path").str(&trace.path);
+    key(out, "status").uint(trace.status.into());
+    key(out, "total_ns").uint(trace.total_ns);
+    write_node(key(out, "root"), &trace.root);
+    out.raw("}");
+}
+
+fn write_node(out: &mut Writer, node: &SpanNode) {
+    out.raw("{\"name\":");
+    out.str(&node.name);
+    key(out, "start_ns").uint(node.start_ns);
+    key(out, "elapsed_ns").uint(node.elapsed_ns);
+    key(out, "iterations").uint(node.iterations);
+    write_pairs(key(out, "counters"), &node.counters, Writer::uint);
+    write_pairs(key(out, "gauges"), &node.gauges, Writer::lossless_f64);
+    key(out, "children").raw("[");
     for (i, child) in node.children.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.raw(",");
         }
-        emit_node(out, child);
+        write_node(out, child);
     }
-    out.push_str("]}");
+    out.raw("]}");
 }
 
-fn emit_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// `[[name, value], …]`.
+fn write_pairs<V: Copy>(out: &mut Writer, pairs: &[(String, V)], value: fn(&mut Writer, V)) {
+    out.raw("[");
+    for (i, (name, v)) in pairs.iter().enumerate() {
+        out.raw(if i > 0 { ",[" } else { "[" });
+        out.str(name);
+        out.raw(",");
+        value(out, *v);
+        out.raw("]");
     }
-    out.push('"');
+    out.raw("]");
 }
 
 /// A lenient multi-line parse: traces that parse, plus a count of lines
@@ -376,18 +361,7 @@ pub struct ParsedTraces {
 /// Parses a slow-query / capture file leniently: blank lines are
 /// ignored, malformed lines are counted and skipped, and nothing panics.
 pub fn parse_lines(input: &str) -> ParsedTraces {
-    let mut out = ParsedTraces::default();
-    for line in input.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        match parse_line(line) {
-            Ok(trace) => out.traces.push(trace),
-            Err(_) => out.skipped += 1,
-        }
-    }
-    out
+    parse_lines_bytes(input.as_bytes())
 }
 
 /// [`parse_lines`] over raw bytes: lines that are not valid UTF-8 are
@@ -395,266 +369,114 @@ pub fn parse_lines(input: &str) -> ParsedTraces {
 pub fn parse_lines_bytes(input: &[u8]) -> ParsedTraces {
     let mut out = ParsedTraces::default();
     for line in input.split(|&b| b == b'\n') {
-        match std::str::from_utf8(line) {
-            Ok(line) => {
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                match parse_line(line) {
-                    Ok(trace) => out.traces.push(trace),
-                    Err(_) => out.skipped += 1,
-                }
-            }
+        match std::str::from_utf8(line).map(str::trim) {
+            Ok("") => {}
+            Ok(line) => match parse_line(line) {
+                Ok(trace) => out.traces.push(trace),
+                Err(_) => out.skipped += 1,
+            },
             Err(_) => out.skipped += 1,
         }
     }
     out
 }
 
-/// Strictly parses one line produced by [`emit`].
+/// Strictly parses one line produced by [`emit`]. Members may come in
+/// any order (a repeated one keeps the last); unknown ones are skipped.
 pub fn parse_line(line: &str) -> Result<RequestTrace, String> {
-    let (value, rest) = JsonScanner::new(line).value(0)?;
-    if !rest.trim().is_empty() {
-        return Err(format!("trailing content {rest:?}"));
-    }
-    trace_from(&value)
-}
-
-// A tiny recursive JSON reader, private to this module. `jsonl` stays
-// flat-object-only for solver event streams; span trees need nesting.
-// Numbers are kept as raw text so u64 fields parse without a float
-// round-trip and gauges keep the emit side's exact bits.
-
-enum JVal {
-    Num(String),
-    Str(String),
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
-}
-
-impl JVal {
-    fn field<'a>(&'a self, key: &str) -> Result<&'a JVal, String> {
-        match self {
-            JVal::Obj(pairs) => pairs
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field {key:?}")),
-            _ => Err(format!("expected object for field {key:?}")),
-        }
-    }
-
-    fn str(&self) -> Result<&str, String> {
-        match self {
-            JVal::Str(s) => Ok(s),
-            _ => Err("expected string".into()),
-        }
-    }
-
-    fn u64(&self) -> Result<u64, String> {
-        match self {
-            JVal::Num(n) => n.parse().map_err(|e| format!("bad integer {n}: {e}")),
-            _ => Err("expected number".into()),
-        }
-    }
-
-    fn f64(&self) -> Result<f64, String> {
-        match self {
-            JVal::Num(n) => match n.as_str() {
-                "inf" => Ok(f64::INFINITY),
-                "-inf" => Ok(f64::NEG_INFINITY),
-                "NaN" => Ok(f64::NAN),
-                n => n.parse().map_err(|e| format!("bad float {n}: {e}")),
-            },
-            _ => Err("expected number".into()),
-        }
-    }
-
-    fn arr(&self) -> Result<&[JVal], String> {
-        match self {
-            JVal::Arr(items) => Ok(items),
-            _ => Err("expected array".into()),
-        }
-    }
-}
-
-struct JsonScanner<'a> {
-    rest: &'a str,
-}
-
-const MAX_DEPTH: usize = 64;
-
-impl<'a> JsonScanner<'a> {
-    fn new(input: &'a str) -> JsonScanner<'a> {
-        JsonScanner { rest: input }
-    }
-
-    fn skip_ws(&mut self) {
-        self.rest = self.rest.trim_start();
-    }
-
-    fn value(mut self, depth: usize) -> Result<(JVal, &'a str), String> {
-        let v = self.scan_value(depth)?;
-        Ok((v, self.rest))
-    }
-
-    fn scan_value(&mut self, depth: usize) -> Result<JVal, String> {
-        if depth > MAX_DEPTH {
-            return Err("nesting too deep".into());
-        }
-        self.skip_ws();
-        match self.rest.as_bytes().first() {
-            Some(b'"') => Ok(JVal::Str(self.scan_string()?)),
-            Some(b'{') => {
-                self.rest = &self.rest[1..];
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.rest.starts_with('}') {
-                    self.rest = &self.rest[1..];
-                    return Ok(JVal::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.scan_string()?;
-                    self.skip_ws();
-                    if !self.rest.starts_with(':') {
-                        return Err("expected ':'".into());
-                    }
-                    self.rest = &self.rest[1..];
-                    let value = self.scan_value(depth + 1)?;
-                    pairs.push((key, value));
-                    self.skip_ws();
-                    match self.rest.as_bytes().first() {
-                        Some(b',') => self.rest = &self.rest[1..],
-                        Some(b'}') => {
-                            self.rest = &self.rest[1..];
-                            return Ok(JVal::Obj(pairs));
-                        }
-                        _ => return Err("expected ',' or '}'".into()),
-                    }
-                }
+    let mut r = Reader::new(line);
+    let (mut trace_id, mut method, mut path, mut status, mut total_ns, mut root) =
+        (None, None, None, None, None, None);
+    object(&mut r)?;
+    while let Some(member) = r.next_key()? {
+        match member.as_str() {
+            "trace_id" => trace_id = Some(r.str()?),
+            "method" => method = Some(r.str()?),
+            "path" => path = Some(r.str()?),
+            "status" => {
+                let code = r.u64()?;
+                status = Some(u16::try_from(code).map_err(|_| format!("bad status {code}"))?);
             }
-            Some(b'[') => {
-                self.rest = &self.rest[1..];
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.rest.starts_with(']') {
-                    self.rest = &self.rest[1..];
-                    return Ok(JVal::Arr(items));
-                }
-                loop {
-                    items.push(self.scan_value(depth + 1)?);
-                    self.skip_ws();
-                    match self.rest.as_bytes().first() {
-                        Some(b',') => self.rest = &self.rest[1..],
-                        Some(b']') => {
-                            self.rest = &self.rest[1..];
-                            return Ok(JVal::Arr(items));
-                        }
-                        _ => return Err("expected ',' or ']'".into()),
-                    }
-                }
-            }
-            Some(_) => Ok(JVal::Num(self.scan_number()?)),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn scan_string(&mut self) -> Result<String, String> {
-        if !self.rest.starts_with('"') {
-            return Err("expected '\"'".into());
-        }
-        let mut chars = self.rest[1..].char_indices();
-        let mut s = String::new();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => {
-                    self.rest = &self.rest[1 + i + 1..];
-                    return Ok(s);
-                }
-                '\\' => match chars.next().map(|(_, c)| c) {
-                    Some('"') => s.push('"'),
-                    Some('\\') => s.push('\\'),
-                    Some('/') => s.push('/'),
-                    Some('n') => s.push('\n'),
-                    Some('t') => s.push('\t'),
-                    Some('r') => s.push('\r'),
-                    Some('b') => s.push('\u{0008}'),
-                    Some('f') => s.push('\u{000C}'),
-                    Some('u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let c = chars.next().map(|(_, c)| c).ok_or("truncated \\u")?;
-                            code = code * 16 + c.to_digit(16).ok_or("bad hex digit")?;
-                        }
-                        s.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                c => s.push(c),
+            "total_ns" => total_ns = Some(r.u64()?),
+            "root" => root = Some(read_node(&mut r)?),
+            _ => {
+                r.value()?;
             }
         }
-        Err("unterminated string".into())
     }
-
-    fn scan_number(&mut self) -> Result<String, String> {
-        let end = self
-            .rest
-            .bytes()
-            .position(|b| !(b.is_ascii_alphanumeric() || matches!(b, b'-' | b'+' | b'.')))
-            .unwrap_or(self.rest.len());
-        if end == 0 {
-            return Err("expected a number".into());
-        }
-        let (num, rest) = self.rest.split_at(end);
-        self.rest = rest;
-        Ok(num.to_string())
-    }
-}
-
-fn trace_from(v: &JVal) -> Result<RequestTrace, String> {
+    r.finish()?;
     Ok(RequestTrace {
-        trace_id: v.field("trace_id")?.str()?.to_string(),
-        method: v.field("method")?.str()?.to_string(),
-        path: v.field("path")?.str()?.to_string(),
-        status: v.field("status")?.u64()? as u16,
-        total_ns: v.field("total_ns")?.u64()?,
-        root: node_from(v.field("root")?)?,
+        trace_id: required(trace_id, "trace_id")?,
+        method: required(method, "method")?,
+        path: required(path, "path")?,
+        status: required(status, "status")?,
+        total_ns: required(total_ns, "total_ns")?,
+        root: required(root, "root")?,
     })
 }
 
-fn node_from(v: &JVal) -> Result<SpanNode, String> {
-    fn pair(item: &JVal) -> Result<(String, &JVal), String> {
-        let items = item.arr()?;
-        if items.len() != 2 {
-            return Err("expected a [name, value] pair".into());
+fn read_node(r: &mut Reader) -> Result<SpanNode, String> {
+    let (mut name, mut start_ns, mut elapsed_ns, mut iterations) = (None, None, None, None);
+    let (mut counters, mut gauges, mut children) = (None, None, None);
+    object(r)?;
+    while let Some(member) = r.next_key()? {
+        match member.as_str() {
+            "name" => name = Some(r.str()?),
+            "start_ns" => start_ns = Some(r.u64()?),
+            "elapsed_ns" => elapsed_ns = Some(r.u64()?),
+            "iterations" => iterations = Some(r.u64()?),
+            "counters" => counters = Some(array(r, |r| pair(r, Reader::u64))?),
+            "gauges" => gauges = Some(array(r, |r| pair(r, Reader::lossless_f64))?),
+            "children" => children = Some(array(r, read_node)?),
+            _ => {
+                r.value()?;
+            }
         }
-        Ok((items[0].str()?.to_string(), &items[1]))
-    }
-    let mut counters = Vec::new();
-    for item in v.field("counters")?.arr()? {
-        let (name, value) = pair(item)?;
-        counters.push((name, value.u64()?));
-    }
-    let mut gauges = Vec::new();
-    for item in v.field("gauges")?.arr()? {
-        let (name, value) = pair(item)?;
-        gauges.push((name, value.f64()?));
-    }
-    let mut children = Vec::new();
-    for item in v.field("children")?.arr()? {
-        children.push(node_from(item)?);
     }
     Ok(SpanNode {
-        name: v.field("name")?.str()?.to_string(),
-        start_ns: v.field("start_ns")?.u64()?,
-        elapsed_ns: v.field("elapsed_ns")?.u64()?,
-        iterations: v.field("iterations")?.u64()?,
-        counters,
-        gauges,
-        children,
+        name: required(name, "name")?,
+        start_ns: required(start_ns, "start_ns")?,
+        elapsed_ns: required(elapsed_ns, "elapsed_ns")?,
+        iterations: required(iterations, "iterations")?,
+        counters: required(counters, "counters")?,
+        gauges: required(gauges, "gauges")?,
+        children: required(children, "children")?,
     })
+}
+
+/// The array at the reader, each element read by `item`.
+fn array<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    if !r.begin_array() {
+        return Err("expected an array".into());
+    }
+    let mut items = Vec::new();
+    while r.next_element()? {
+        items.push(item(r)?);
+    }
+    Ok(items)
+}
+
+/// A `[name, value]` pair, its value read by `value`.
+fn pair<'a, T>(
+    r: &mut Reader<'a>,
+    value: impl FnOnce(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<(String, T), String> {
+    let bad = || "expected a [name, value] pair".to_string();
+    if !r.begin_array() || !r.next_element()? {
+        return Err(bad());
+    }
+    let name = r.str()?;
+    if !r.next_element()? {
+        return Err(bad());
+    }
+    let v = value(r)?;
+    if r.next_element()? {
+        return Err(bad());
+    }
+    Ok((name, v))
 }
 
 // ---------------------------------------------------------------------
@@ -874,6 +696,24 @@ mod tests {
         bytes.extend_from_slice(&[0xff, 0xfe, 0x80, b'\n']);
         bytes.extend_from_slice(good.as_bytes());
         let parsed = parse_lines_bytes(&bytes);
+        assert_eq!(parsed.traces.len(), 2);
+        assert_eq!(parsed.skipped, 1);
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_without_overflowing_the_stack() {
+        let open = "{\"name\":\"s\",\"start_ns\":0,\"elapsed_ns\":0,\"iterations\":0,\
+                    \"counters\":[],\"gauges\":[],\"children\":[";
+        let deep = format!(
+            "{{\"trace_id\":\"t\",\"method\":\"GET\",\"path\":\"/\",\"status\":200,\
+             \"total_ns\":1,\"root\":{}{}}}",
+            open.repeat(10_000),
+            "]}".repeat(10_000)
+        );
+        let err = parse_line(&deep).unwrap_err();
+        assert!(err.contains("deep"), "{err}");
+        let good = emit(&sample_trace());
+        let parsed = parse_lines(&format!("{good}\n{deep}\n{good}\n"));
         assert_eq!(parsed.traces.len(), 2);
         assert_eq!(parsed.skipped, 1);
     }
