@@ -82,7 +82,7 @@ pub fn evaluate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use approxrank_core::{ApproxRank, IdealRank};
+    use approxrank_core::{ApproxRank, GlobalScores, IdealRank};
     use approxrank_graph::NodeSet;
     use approxrank_pagerank::{pagerank, PageRankOptions};
 
@@ -117,7 +117,7 @@ mod tests {
         let sub = Subgraph::extract(&g, NodeSet::from_sorted(7, [0, 1, 2, 3]));
         let ideal = IdealRank {
             options: opts,
-            global_scores: truth.scores.clone().into(),
+            global_scores: GlobalScores::new(&g, truth.scores.clone()).into(),
         };
         let e = evaluate(&ideal, &g, &sub, &truth.scores);
         assert!(e.l1 < 1e-8, "L1 {}", e.l1);

@@ -5,7 +5,7 @@
 //! empirically on real experiment subgraphs, which is the strongest
 //! correctness check the reproduction has.
 
-use approxrank_core::IdealRank;
+use approxrank_core::{GlobalScores, IdealRank};
 use approxrank_gen::au::PAPER_DOMAINS;
 use approxrank_graph::Subgraph;
 use approxrank_metrics::l1_distance;
@@ -35,7 +35,7 @@ pub fn run_with(ctx: &AuContext, domains: usize) -> (Vec<Row>, ExperimentOutput)
     let opts = experiment_options().with_tolerance(1e-12);
     let ideal = IdealRank {
         options: opts,
-        global_scores: ctx.truth.result.scores.clone().into(),
+        global_scores: GlobalScores::new(ctx.data.graph(), ctx.truth.result.scores.clone()).into(),
     };
     let mut rows = Vec::new();
     for name in PAPER_DOMAINS.iter().take(domains) {

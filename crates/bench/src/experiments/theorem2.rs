@@ -8,7 +8,7 @@
 //! available).
 
 use approxrank_core::theory::{external_assumption_gap, lockstep_gaps, theorem2_bound};
-use approxrank_core::{ApproxRank, IdealRank};
+use approxrank_core::{ApproxRank, GlobalScores, IdealRank};
 use approxrank_gen::politics::PAPER_TOPICS;
 use approxrank_graph::Subgraph;
 
@@ -50,7 +50,7 @@ pub fn run_with(ctx: &PoliticsContext, iterations: usize) -> (Theorem2Result, Ex
 
     let ideal = IdealRank {
         options: opts.clone(),
-        global_scores: ctx.truth.result.scores.clone().into(),
+        global_scores: GlobalScores::new(ctx.data.graph(), ctx.truth.result.scores.clone()).into(),
     };
     let ie = ideal.extended_graph(ctx.data.graph(), &sub);
     let ae = ApproxRank::new(opts).extended_graph(ctx.data.graph(), &sub);

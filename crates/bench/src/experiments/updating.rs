@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use approxrank_core::updating::IadUpdate;
-use approxrank_core::IdealRank;
+use approxrank_core::{GlobalScores, IdealRank};
 use approxrank_graph::{DiGraph, NodeSet, Subgraph};
 use approxrank_metrics::footrule::footrule_from_scores;
 use approxrank_pagerank::pagerank;
@@ -87,7 +87,7 @@ pub fn run_rows(scale: DatasetScale) -> (Vec<Row>, ExperimentOutput) {
     {
         let ideal = IdealRank {
             options: opts.clone(),
-            global_scores: stale_scores.clone().into(),
+            global_scores: GlobalScores::new(&new_graph, stale_scores.clone()).into(),
         };
         let t0 = Instant::now();
         let r = ideal.rank_subgraph(&new_graph, &subgraph);

@@ -1,7 +1,9 @@
 //! `subrank rank` — rank a subgraph of a global graph.
 
 use approxrank_core::baselines::{LocalPageRank, Lpr2};
-use approxrank_core::{ApproxRank, IdealRank, StochasticComplementation, SubgraphRanker};
+use approxrank_core::{
+    ApproxRank, GlobalScores, IdealRank, StochasticComplementation, SubgraphRanker,
+};
 use approxrank_graph::{NodeSet, Subgraph};
 use approxrank_pagerank::PageRankOptions;
 use approxrank_trace::{Observer, Recorder};
@@ -61,7 +63,7 @@ pub fn run(args: &RankArgs) -> Result<String, String> {
             }
             Box::new(IdealRank {
                 options,
-                global_scores: scores.into(),
+                global_scores: GlobalScores::new(&graph, scores).into(),
             })
         }
     };

@@ -52,7 +52,7 @@ pub mod weighted;
 
 pub use approx::ApproxRank;
 pub use extended::ExtendedLocalGraph;
-pub use ideal::IdealRank;
+pub use ideal::{GlobalScores, IdealRank};
 pub use p2p::JxpNetwork;
 pub use precompute::{GlobalAggregates, GlobalPrecomputation};
 pub use ranker::{Estimate, RankScores, SubgraphRanker};

@@ -119,7 +119,7 @@ pub fn converged_gap(ideal_scores: &[f64], approx_scores: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ApproxRank, IdealRank};
+    use crate::{ApproxRank, GlobalScores, IdealRank};
     use approxrank_graph::{DiGraph, NodeSet};
     use approxrank_pagerank::{pagerank, PageRankOptions};
 
@@ -173,7 +173,7 @@ mod tests {
         let sub = Subgraph::extract(&g, NodeSet::from_sorted(7, [0, 1, 2, 3]));
         let ideal = IdealRank {
             options: opts.clone(),
-            global_scores: truth.scores.clone().into(),
+            global_scores: GlobalScores::new(&g, truth.scores.clone()).into(),
         };
         let ie = ideal.extended_graph(&g, &sub);
         let ae = ApproxRank::new(opts).extended_graph(&g, &sub);

@@ -23,7 +23,7 @@
 use approxrank_graph::{DiGraph, NodeSet, Subgraph};
 use approxrank_pagerank::{PageRankOptions, PageRankResult};
 
-use crate::ideal::IdealRank;
+use crate::ideal::{GlobalScores, IdealRank};
 
 /// Configuration of the IAD update.
 #[derive(Clone, Debug)]
@@ -136,7 +136,7 @@ impl IadUpdate {
             // estimates as the Λ weighting.
             let ideal = IdealRank {
                 options: self.options.clone(),
-                global_scores: x.clone().into(),
+                global_scores: GlobalScores::new(new_graph, x.clone()).into(),
             };
             let r = ideal.rank_subgraph(new_graph, &subgraph);
 

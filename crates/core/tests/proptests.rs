@@ -3,7 +3,7 @@
 //! arbitrary random graphs and subgraph choices.
 
 use approxrank_core::theory::{external_assumption_gap, lockstep_gaps, theorem2_bound};
-use approxrank_core::{ApproxRank, IdealRank, SubgraphRanker};
+use approxrank_core::{ApproxRank, GlobalScores, IdealRank, SubgraphRanker};
 use approxrank_graph::{DiGraph, NodeSet, Subgraph};
 use approxrank_pagerank::{pagerank, PageRankOptions};
 use proptest::prelude::*;
@@ -47,7 +47,7 @@ proptest! {
     fn a_ideal_is_always_stochastic((g, set) in graph_and_subgraph()) {
         let truth = pagerank(&g, &tight());
         let sub = Subgraph::extract(&g, set);
-        let ideal = IdealRank { options: tight(), global_scores: truth.scores.into() };
+        let ideal = IdealRank { options: tight(), global_scores: GlobalScores::new(&g, truth.scores).into() };
         let ext = ideal.extended_graph(&g, &sub);
         prop_assert!(ext.max_row_sum_error() < 1e-9);
     }
@@ -56,7 +56,7 @@ proptest! {
     fn theorem1_exactness((g, set) in graph_and_subgraph()) {
         let truth = pagerank(&g, &tight());
         let sub = Subgraph::extract(&g, set);
-        let ideal = IdealRank { options: tight(), global_scores: truth.scores.clone().into() };
+        let ideal = IdealRank { options: tight(), global_scores: GlobalScores::new(&g, truth.scores.clone()).into() };
         let r = ideal.rank(&g, &sub);
         let restricted = sub.nodes().restrict(&truth.scores);
         let err: f64 = r
@@ -75,7 +75,7 @@ proptest! {
         let eps = 0.85;
         let truth = pagerank(&g, &tight());
         let sub = Subgraph::extract(&g, set);
-        let ideal = IdealRank { options: tight(), global_scores: truth.scores.clone().into() };
+        let ideal = IdealRank { options: tight(), global_scores: GlobalScores::new(&g, truth.scores.clone()).into() };
         let ie = ideal.extended_graph(&g, &sub);
         let ae = ApproxRank::new(tight()).extended_graph(&g, &sub);
         let gap = external_assumption_gap(&truth.scores, &sub);

@@ -4,7 +4,9 @@
 //! determinism, and sane `Λ` semantics where applicable.
 
 use approxrank_core::baselines::{LocalPageRank, Lpr2};
-use approxrank_core::{ApproxRank, IdealRank, StochasticComplementation, SubgraphRanker};
+use approxrank_core::{
+    ApproxRank, GlobalScores, IdealRank, StochasticComplementation, SubgraphRanker,
+};
 use approxrank_graph::{DiGraph, NodeSet, Subgraph};
 use approxrank_pagerank::{pagerank, PageRankOptions};
 
@@ -98,7 +100,7 @@ fn battery() -> Vec<(&'static str, DiGraph, Vec<u32>)> {
     cases
 }
 
-fn rankers(truth: &[f64]) -> Vec<Box<dyn SubgraphRanker>> {
+fn rankers(g: &DiGraph, truth: &[f64]) -> Vec<Box<dyn SubgraphRanker>> {
     vec![
         Box::new(ApproxRank::new(opts())),
         Box::new(LocalPageRank::new(opts())),
@@ -110,7 +112,7 @@ fn rankers(truth: &[f64]) -> Vec<Box<dyn SubgraphRanker>> {
         }),
         Box::new(IdealRank {
             options: opts(),
-            global_scores: truth.to_vec().into(),
+            global_scores: GlobalScores::new(g, truth.to_vec()).into(),
         }),
     ]
 }
@@ -120,7 +122,7 @@ fn every_ranker_satisfies_the_contract_on_every_case() {
     for (name, g, members) in battery() {
         let truth = pagerank(&g, &opts());
         let sub = Subgraph::extract(&g, NodeSet::from_sorted(g.num_nodes(), members));
-        for ranker in rankers(&truth.scores) {
+        for ranker in rankers(&g, &truth.scores) {
             let r = ranker.rank(&g, &sub);
             let label = format!("{} on {name}", ranker.name());
             assert!(r.converged, "{label}: did not converge");
@@ -164,7 +166,7 @@ fn idealrank_is_exact_on_every_case() {
         let sub = Subgraph::extract(&g, NodeSet::from_sorted(g.num_nodes(), members));
         let ideal = IdealRank {
             options: PageRankOptions::paper().with_tolerance(1e-12),
-            global_scores: truth.scores.clone().into(),
+            global_scores: GlobalScores::new(&g, truth.scores.clone()).into(),
         };
         let r = ideal.rank(&g, &sub);
         let restricted = sub.nodes().restrict(&truth.scores);

@@ -6,8 +6,8 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use approxrank_core::baselines::{LocalPageRank, Lpr2};
 use approxrank_core::{
-    ApproxRank, GlobalAggregates, IdealRank, StochasticComplementation, SubgraphRanker,
-    SubgraphSession,
+    ApproxRank, GlobalAggregates, GlobalScores, IdealRank, StochasticComplementation,
+    SubgraphRanker, SubgraphSession,
 };
 use approxrank_delta::{DeltaGraph, DeltaShardView, MutationSummary};
 use approxrank_graph::{DiGraph, NodeId, NodeSet, Shard, Subgraph, SubgraphSource};
@@ -46,8 +46,9 @@ impl Default for EngineConfig {
     }
 }
 
-/// Global PageRank scores tagged with the graph they were computed on.
-type ScoresOn = (Weak<DiGraph>, Arc<Vec<f64>>);
+/// Global PageRank scores and their chunk census, tagged with the graph
+/// they were computed on.
+type ScoresOn = (Weak<DiGraph>, Arc<GlobalScores>);
 
 /// What the engine ranks over.
 pub(crate) enum Backend {
@@ -56,8 +57,8 @@ pub(crate) enum Backend {
     Global {
         /// The live graph: immutable CSR base plus delta overlay.
         delta: Arc<DeltaGraph>,
-        /// Global PageRank scores for IdealRank, tagged with the
-        /// materialized graph they were computed on (see
+        /// Global PageRank scores and their chunk census for IdealRank,
+        /// tagged with the materialized graph they were computed on (see
         /// [`global_scores_of`]). The tag is weak so retired graphs are
         /// freed; it still pins the allocation, so a new graph can never
         /// reuse its address.
@@ -342,14 +343,15 @@ pub(crate) fn options_for(damping: f64, tolerance: f64) -> PageRankOptions {
         .with_tolerance(tolerance)
 }
 
-/// Global PageRank scores of `graph` for IdealRank, computed once per
-/// materialized graph: a mutation makes [`DeltaGraph::compacted`] hand
-/// out a new graph, which retires the previous vector lazily.
+/// Global PageRank scores of `graph` and their chunk census for
+/// IdealRank, computed once per materialized graph: a mutation makes
+/// [`DeltaGraph::compacted`] hand out a new graph, which retires the
+/// previous scores and census together, lazily.
 fn global_scores_of(
     cache: &Mutex<Option<ScoresOn>>,
     graph: &Arc<DiGraph>,
     obs: &dyn Observer,
-) -> Arc<Vec<f64>> {
+) -> Arc<GlobalScores> {
     let tag = Arc::downgrade(graph);
     if let Some((on, scores)) = &*cache.lock().unwrap_or_else(|e| e.into_inner()) {
         if Weak::ptr_eq(on, &tag) {
@@ -358,7 +360,8 @@ fn global_scores_of(
     }
     let scores = {
         let _span = obs.span("serve.global_pagerank");
-        Arc::new(pagerank(graph, &PageRankOptions::paper().with_tolerance(1e-10)).scores)
+        let scores = pagerank(graph, &PageRankOptions::paper().with_tolerance(1e-10)).scores;
+        Arc::new(GlobalScores::new(graph, scores))
     };
     *cache.lock().unwrap_or_else(|e| e.into_inner()) = Some((tag, Arc::clone(&scores)));
     scores
@@ -498,6 +501,32 @@ impl Engine {
         self.cache.invalidate(key)
     }
 
+    /// Refuses an id list that is empty, not strictly ascending, or
+    /// reaches past `N`: answers pair scores with the ids positionally,
+    /// and the solvers number pages in ascending order. `list` and
+    /// `page` name the list and one of its entries in the message.
+    fn check_sorted_ids(&self, list: &str, page: &str, ids: &[u32]) -> Result<(), EngineError> {
+        let Some(&last) = ids.last() else {
+            return Err(EngineError::BadRequest(format!("{list} is empty")));
+        };
+        if !ids.windows(2).all(|w| w[0] < w[1]) {
+            return Err(EngineError::BadRequest(format!(
+                "{list} must be sorted and deduplicated"
+            )));
+        }
+        let n = self.global_nodes();
+        if last as usize >= n {
+            return Err(EngineError::BadRequest(format!(
+                "{page} {last} out of range (graph has {n} nodes)"
+            )));
+        }
+        Ok(())
+    }
+
+    fn check_members(&self, members: &[u32]) -> Result<(), EngineError> {
+        self.check_sorted_ids("member list", "member", members)
+    }
+
     fn check_owned(&self, members: &[u32]) -> Result<(), EngineError> {
         let shard_id = match &self.backend {
             Backend::Global { .. } => return Ok(()),
@@ -609,6 +638,7 @@ impl Engine {
         params: &RankRequest,
         obs: &dyn Observer,
     ) -> Result<RankOutcome, EngineError> {
+        self.check_members(&params.members)?;
         let key = cache_key(
             params.algorithm.code(),
             params.damping,
@@ -680,21 +710,8 @@ impl Engine {
         params: &KeywordRequest,
         obs: &dyn Observer,
     ) -> Result<CachedResult, EngineError> {
-        if params.base.is_empty() {
-            return Err(EngineError::BadRequest("keyword base set is empty".into()));
-        }
-        if !params.base.windows(2).all(|w| w[0] < w[1]) {
-            return Err(EngineError::BadRequest(
-                "keyword base set must be sorted and deduplicated".into(),
-            ));
-        }
-        let n = self.global_nodes();
-        let last = *params.base.last().expect("non-empty");
-        if last as usize >= n {
-            return Err(EngineError::BadRequest(format!(
-                "base page {last} out of range (graph has {n} nodes)"
-            )));
-        }
+        self.check_sorted_ids("keyword base set", "base page", &params.base)?;
+        self.check_members(&params.members)?;
         self.check_owned(&params.members)?;
         let key = KeywordKey {
             epoch: self.effective_epoch(&params.members),
@@ -787,6 +804,7 @@ impl Engine {
         }
         let members = &params.members;
         let (damping, tolerance) = (params.damping, params.tolerance);
+        self.check_members(members)?;
         self.check_owned(members)?;
         let nodes = NodeSet::from_sorted(self.global_nodes(), members.iter().copied());
         let solver = match params.algorithm {
@@ -1219,6 +1237,79 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, EngineError::BadRequest(ref m) if m.contains("not on shard")));
+    }
+
+    /// Member lists must be non-empty, strictly ascending and in range
+    /// on every entry point: answers pair scores with members by
+    /// position, so a duplicate or out-of-order list would mislabel
+    /// them, and an out-of-range page would panic the extraction.
+    #[test]
+    fn malformed_member_lists_are_bad_requests_on_every_backend() {
+        let g = ring(200);
+        let (global, sharded) = shard0_engine(&g);
+        let bad: [(Vec<u32>, &str); 4] = [
+            (vec![3, 3, 9, 20], "sorted and deduplicated"),
+            (vec![20, 3, 9], "sorted and deduplicated"),
+            (vec![1, 999], "out of range"),
+            (vec![], "empty"),
+        ];
+        for engine in [&global, &sharded] {
+            for (members, why) in &bad {
+                let rejects = |err: EngineError| matches!(err, EngineError::BadRequest(ref m) if m.contains(why));
+                let req = request(members.clone());
+                assert!(
+                    rejects(engine.rank(&req, null()).unwrap_err()),
+                    "{members:?}"
+                );
+                assert!(rejects(engine.session_create(&req, null()).unwrap_err()));
+                let keyword = KeywordRequest {
+                    members: members.clone(),
+                    base: vec![12],
+                    damping: 0.85,
+                    tolerance: 1e-8,
+                };
+                assert!(rejects(engine.keyword_rank(&keyword, null()).unwrap_err()));
+            }
+            assert_eq!(engine.session_count(), 0);
+            assert!(engine.rank(&request(vec![3, 9, 20]), null()).is_ok());
+        }
+    }
+
+    /// A write that turns an external page dangling retires the IdealRank
+    /// scores and their census together: the next answer is bitwise a
+    /// fresh engine's on the rebuilt graph.
+    #[test]
+    fn idealrank_after_a_write_matches_a_fresh_engine() {
+        let n = 200u32;
+        let mut edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|i| [(i, (i + 1) % n), (i, (i * 13 + 7) % n)])
+            .collect();
+        // Page 150 keeps one out-edge, so deleting it leaves 150 dangling.
+        edges.retain(|&(s, t)| s != 150 || t == 151);
+        let engine = Engine::new_global(
+            Arc::new(DiGraph::from_edges(n as usize, &edges)),
+            EngineConfig::default(),
+        );
+        let mut req = request((10..60).collect());
+        req.algorithm = Algorithm::IdealRank;
+        let before = engine.rank(&req, null()).unwrap();
+        engine.mutate_graph(&[], &[(150, 151)], null()).unwrap();
+        edges.retain(|&e| e != (150, 151));
+        let rebuilt = DiGraph::from_edges(n as usize, &edges);
+        assert!(rebuilt.is_dangling(150));
+        let fresh = Engine::new_global(Arc::new(rebuilt), EngineConfig::default());
+        let after = engine.rank(&req, null()).unwrap();
+        let want = fresh.rank(&req, null()).unwrap();
+        assert!(!after.cached);
+        let bits = |r: &CachedResult| -> Vec<(u32, u64)> {
+            r.scores.iter().map(|&(p, x)| (p, x.to_bits())).collect()
+        };
+        assert_eq!(bits(&after.result), bits(&want.result));
+        assert_eq!(
+            after.result.lambda.map(f64::to_bits),
+            want.result.lambda.map(f64::to_bits)
+        );
+        assert_ne!(bits(&after.result), bits(&before.result));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! A fixed-capacity bit set over dense node ids.
 //!
-//! Used for subgraph membership tests, visited sets in traversals, and
-//! frontier bookkeeping in the SC baseline. A `Vec<bool>` would work but
-//! costs 8x the memory; membership tests are the hottest operation when
-//! classifying millions of edges as local/boundary/external.
+//! Used for visited sets in traversals and crawls, and frontier
+//! bookkeeping. A `Vec<bool>` would work but costs 8x the memory.
+//! Subgraph membership uses [`crate::NodeSet`]'s span-sized bit set
+//! instead, so a small subgraph never pays for all `N` pages.
 
 /// A fixed-capacity set of `usize` indices backed by 64-bit words.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -6,46 +6,107 @@
 //! with the boundary information ([`BoundaryEdges`]) the extended local
 //! graph (`Λ` collapse) is built from.
 
-use crate::{BitSet, DiGraph, GraphView, NodeId};
+use crate::{DiGraph, GraphView, NodeId};
 
 /// A set of global node ids with a dense local numbering `0..len`.
 ///
 /// Local ids follow the insertion order of [`NodeSet::from_iter_order`] or
 /// ascending global order for [`NodeSet::from_sorted`].
+///
+/// Membership is a bit set over the members' span only — `[min & !63,
+/// max]` — with a per-word rank directory, so `contains` and `local_id`
+/// are one word read plus a popcount and the set costs O(span/8 + n)
+/// bytes, never O(N).
 #[derive(Clone, Debug)]
 pub struct NodeSet {
     members: Vec<NodeId>,
-    membership: BitSet,
-    /// global id -> local id + 1 (0 = absent). Dense over the global graph.
-    local_of: Vec<u32>,
+    global_nodes: usize,
+    /// Global id of bit 0 of `words[0]`: the smallest member rounded down
+    /// to a multiple of 64.
+    base: usize,
+    /// Membership bits over `[base, max member]`.
+    words: Vec<u64>,
+    /// `rank[w]` counts the members in `words[..w]`, so a member's
+    /// position in ascending global order is its word's rank plus the
+    /// set bits below it.
+    rank: Vec<u32>,
+    /// Ascending position → local id; empty when the local ids already
+    /// ascend with the global ids.
+    local_of_pos: Vec<u32>,
 }
 
 impl NodeSet {
     /// Builds a set from global ids in the given order (order defines the
     /// local numbering). Duplicates are ignored after first occurrence.
+    ///
+    /// # Panics
+    /// Panics if an id is not below `global_nodes`.
     pub fn from_iter_order<I: IntoIterator<Item = NodeId>>(global_nodes: usize, ids: I) -> Self {
-        let mut members = Vec::new();
-        let mut membership = BitSet::new(global_nodes);
-        let mut local_of = vec![0u32; global_nodes];
-        for id in ids {
-            if membership.insert(id as usize) {
-                local_of[id as usize] = members.len() as u32 + 1;
-                members.push(id);
+        let ids: Vec<NodeId> = ids.into_iter().collect();
+        let (base, mut words) = match (ids.iter().min(), ids.iter().max()) {
+            (Some(&lo), Some(&hi)) => {
+                assert!(
+                    (hi as usize) < global_nodes,
+                    "node {hi} out of bounds (graph has {global_nodes} nodes)"
+                );
+                let base = lo as usize & !63;
+                (base, vec![0u64; (hi as usize - base) / 64 + 1])
+            }
+            _ => (0, Vec::new()),
+        };
+        let mut members = Vec::with_capacity(ids.len());
+        for g in ids {
+            let o = g as usize - base;
+            let (w, bit) = (o / 64, 1u64 << (o % 64));
+            if words[w] & bit == 0 {
+                words[w] |= bit;
+                members.push(g);
             }
         }
-        NodeSet {
-            members,
-            membership,
-            local_of,
+        let mut rank = Vec::with_capacity(words.len());
+        let mut below = 0u32;
+        for w in &words {
+            rank.push(below);
+            below += w.count_ones();
         }
+        let mut set = NodeSet {
+            members,
+            global_nodes,
+            base,
+            words,
+            rank,
+            local_of_pos: Vec::new(),
+        };
+        if !set.members.windows(2).all(|w| w[0] < w[1]) {
+            let mut local_of_pos = vec![0u32; set.members.len()];
+            for (local, &g) in set.members.iter().enumerate() {
+                let pos = set.position(g).expect("member");
+                local_of_pos[pos as usize] = local as u32;
+            }
+            set.local_of_pos = local_of_pos;
+        }
+        set
     }
 
     /// Builds a set from ids, numbering locals in ascending global order.
+    ///
+    /// # Panics
+    /// Panics if an id is not below `global_nodes`.
     pub fn from_sorted<I: IntoIterator<Item = NodeId>>(global_nodes: usize, ids: I) -> Self {
         let mut v: Vec<NodeId> = ids.into_iter().collect();
         v.sort_unstable();
         v.dedup();
         Self::from_iter_order(global_nodes, v)
+    }
+
+    /// The position of `global` among the members in ascending order, if
+    /// it is one: its word's rank plus the set bits below it.
+    #[inline]
+    fn position(&self, global: NodeId) -> Option<u32> {
+        let o = (global as usize).checked_sub(self.base)?;
+        let word = *self.words.get(o / 64)?;
+        let bit = 1u64 << (o % 64);
+        (word & bit != 0).then(|| self.rank[o / 64] + (word & (bit - 1)).count_ones())
     }
 
     /// Number of local pages `n`.
@@ -63,16 +124,22 @@ impl NodeSet {
     /// O(1) membership test on a global id.
     #[inline]
     pub fn contains(&self, global: NodeId) -> bool {
-        self.membership.contains(global as usize)
+        let Some(o) = (global as usize).checked_sub(self.base) else {
+            return false;
+        };
+        self.words
+            .get(o / 64)
+            .is_some_and(|w| w & (1u64 << (o % 64)) != 0)
     }
 
     /// Local id of a global id, if a member.
     #[inline]
     pub fn local_id(&self, global: NodeId) -> Option<u32> {
-        match self.local_of.get(global as usize) {
-            Some(&x) if x > 0 => Some(x - 1),
-            _ => None,
-        }
+        let pos = self.position(global)?;
+        Some(match self.local_of_pos.get(pos as usize) {
+            Some(&local) => local,
+            None => pos,
+        })
     }
 
     /// Global id of a local id.
@@ -93,7 +160,7 @@ impl NodeSet {
     /// Capacity of the surrounding global graph `N`.
     #[inline]
     pub fn global_nodes(&self) -> usize {
-        self.local_of.len()
+        self.global_nodes
     }
 
     /// Number of external pages `N - n`.
@@ -177,8 +244,6 @@ impl Subgraph {
         }
         // Boundary in-edges: scan the reverse adjacency of each member.
         let mut in_edges = Vec::new();
-        let mut seen_sources = BitSet::new(global.num_nodes());
-        let mut in_sources = Vec::new();
         for (li, &g) in nodes.members().iter().enumerate() {
             global.for_each_in(g, &mut |s| {
                 if !nodes.contains(s) {
@@ -187,13 +252,12 @@ impl Subgraph {
                         source_out_degree: global.out_degree(s),
                         target_local: li as u32,
                     });
-                    if seen_sources.insert(s as usize) {
-                        in_sources.push(s);
-                    }
                 }
             });
         }
+        let mut in_sources: Vec<NodeId> = in_edges.iter().map(|e| e.source).collect();
         in_sources.sort_unstable();
+        in_sources.dedup();
         let local = DiGraph::from_edges(n, &local_edges);
         Subgraph {
             nodes,

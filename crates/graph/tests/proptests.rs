@@ -2,7 +2,8 @@
 
 use approxrank_graph::{io, BitSet, Csr, DiGraph, NodeSet, Subgraph};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use proptest::test_runner::TestCaseError;
+use std::collections::{BTreeMap, HashSet};
 use std::io::Cursor;
 
 /// Arbitrary edge lists over up to 64 nodes.
@@ -139,6 +140,78 @@ proptest! {
                 None => prop_assert!(!set.contains(gid)),
             }
         }
+    }
+}
+
+/// A random `N` and ids below it, with duplicates, in random order. When
+/// `edges` is drawn, the word-boundary ids 0, 63, 64 and `N − 1` are
+/// spliced in at salted positions.
+fn nodeset_case() -> impl Strategy<Value = (usize, Vec<u32>)> {
+    (1usize..700).prop_flat_map(|n| {
+        (
+            Just(n),
+            proptest::collection::vec(0u32..n as u32, 0..120),
+            any::<bool>(),
+            any::<u64>(),
+        )
+            .prop_map(|(n, mut ids, edges, salt)| {
+                if edges {
+                    for (i, e) in [0, 63, 64, n - 1].into_iter().enumerate() {
+                        if e < n {
+                            let at = (salt >> (16 * i)) as usize % (ids.len() + 1);
+                            ids.insert(at, e as u32);
+                        }
+                    }
+                }
+                (n, ids)
+            })
+    })
+}
+
+/// Checks every `NodeSet` query against a `BTreeMap` model of the
+/// expected local numbering (`order[local] = global`).
+fn check_nodeset(set: &NodeSet, n: usize, order: &[u32]) -> Result<(), TestCaseError> {
+    let model: BTreeMap<u32, u32> = order
+        .iter()
+        .enumerate()
+        .map(|(local, &g)| (g, local as u32))
+        .collect();
+    prop_assert_eq!(set.members(), order);
+    prop_assert_eq!(set.len(), order.len());
+    prop_assert_eq!(set.is_empty(), order.is_empty());
+    prop_assert_eq!(set.global_nodes(), n);
+    prop_assert_eq!(set.num_external(), n - order.len());
+    for g in (0..n as u32).chain([n as u32, n as u32 + 64, u32::MAX]) {
+        prop_assert_eq!(set.contains(g), model.contains_key(&g), "contains({})", g);
+        prop_assert_eq!(set.local_id(g), model.get(&g).copied(), "local_id({})", g);
+    }
+    for (&g, &local) in &model {
+        prop_assert_eq!(set.global_id(local), g);
+    }
+    let scores: Vec<f64> = (0..n).map(|g| 0.5 + g as f64).collect();
+    let want: Vec<f64> = order.iter().map(|&g| scores[g as usize]).collect();
+    prop_assert_eq!(set.restrict(&scores), want);
+    Ok(())
+}
+
+proptest! {
+    /// Both constructors agree with a map model: `from_iter_order`
+    /// numbers distinct ids by first occurrence, `from_sorted` in
+    /// ascending order, and the empty set answers every query.
+    #[test]
+    fn nodeset_matches_btreemap_model((n, ids) in nodeset_case()) {
+        let mut first_seen = Vec::new();
+        for &id in &ids {
+            if !first_seen.contains(&id) {
+                first_seen.push(id);
+            }
+        }
+        check_nodeset(&NodeSet::from_iter_order(n, ids.iter().copied()), n, &first_seen)?;
+        let mut ascending = first_seen.clone();
+        ascending.sort_unstable();
+        check_nodeset(&NodeSet::from_sorted(n, ids.iter().copied()), n, &ascending)?;
+        check_nodeset(&NodeSet::from_sorted(n, std::iter::empty()), n, &[])?;
+        check_nodeset(&NodeSet::from_iter_order(n, std::iter::empty()), n, &[])?;
     }
 }
 

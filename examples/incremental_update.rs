@@ -18,7 +18,7 @@ use approxrank::gen::{au_like, AuConfig};
 use approxrank::metrics::footrule::footrule_from_scores;
 use approxrank::metrics::l1_distance;
 use approxrank::pagerank::pagerank;
-use approxrank::{DiGraph, IdealRank, NodeSet, PageRankOptions, Subgraph};
+use approxrank::{DiGraph, GlobalScores, IdealRank, NodeSet, PageRankOptions, Subgraph};
 use std::time::Instant;
 
 fn main() {
@@ -71,7 +71,7 @@ fn main() {
     stale.push(0.0);
     let ideal = IdealRank {
         options: options.clone(),
-        global_scores: stale.clone().into(),
+        global_scores: GlobalScores::new(&new_graph, stale.clone()).into(),
     };
     let t0 = Instant::now();
     let estimate = ideal.rank_subgraph(&new_graph, &subgraph);

@@ -14,7 +14,8 @@ use approxrank::core::baselines::LocalPageRank;
 use approxrank::core::theory;
 use approxrank::pagerank::pagerank;
 use approxrank::{
-    ApproxRank, DiGraph, IdealRank, NodeSet, PageRankOptions, Subgraph, SubgraphRanker,
+    ApproxRank, DiGraph, GlobalScores, IdealRank, NodeSet, PageRankOptions, Subgraph,
+    SubgraphRanker,
 };
 
 fn main() {
@@ -65,7 +66,7 @@ fn main() {
     let approx_scores = approx.rank(&global, &subgraph);
     let ideal = IdealRank {
         options: options.clone(),
-        global_scores: truth.scores.clone().into(),
+        global_scores: GlobalScores::new(&global, truth.scores.clone()).into(),
     };
     let ideal_scores = ideal.rank(&global, &subgraph);
     let local_scores = LocalPageRank::new(options.clone()).rank(&global, &subgraph);

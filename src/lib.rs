@@ -49,8 +49,8 @@ pub use approxrank_trace as trace;
 pub use approxrank_walk as walk;
 
 pub use approxrank_core::{
-    ApproxRank, Estimate, GlobalPrecomputation, IdealRank, RankScores, StochasticComplementation,
-    SubgraphRanker,
+    ApproxRank, Estimate, GlobalPrecomputation, GlobalScores, IdealRank, RankScores,
+    StochasticComplementation, SubgraphRanker,
 };
 pub use approxrank_graph::{DiGraph, NodeSet, Subgraph};
 pub use approxrank_pagerank::{PageRankOptions, PageRankResult};

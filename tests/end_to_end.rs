@@ -6,8 +6,8 @@ use approxrank::gen::{au_like, AuConfig, BfsCrawler};
 use approxrank::metrics::footrule::footrule_from_scores;
 use approxrank::pagerank::pagerank;
 use approxrank::{
-    ApproxRank, IdealRank, NodeSet, PageRankOptions, StochasticComplementation, Subgraph,
-    SubgraphRanker,
+    ApproxRank, GlobalScores, IdealRank, NodeSet, PageRankOptions, StochasticComplementation,
+    Subgraph, SubgraphRanker,
 };
 
 fn dataset() -> approxrank::gen::DomainDataset {
@@ -35,7 +35,7 @@ fn all_rankers_run_and_order_sanely_on_a_domain() {
         Box::new(StochasticComplementation::default()),
         Box::new(IdealRank {
             options: options.clone(),
-            global_scores: truth.scores.clone().into(),
+            global_scores: GlobalScores::new(g, truth.scores.clone()).into(),
         }),
     ];
     let mut footrules = Vec::new();

@@ -7,7 +7,7 @@ use approxrank::core::theory::{
 use approxrank::gen::{politics_like, PoliticsConfig};
 use approxrank::metrics::l1_distance;
 use approxrank::pagerank::pagerank;
-use approxrank::{ApproxRank, IdealRank, NodeSet, PageRankOptions, Subgraph};
+use approxrank::{ApproxRank, GlobalScores, IdealRank, NodeSet, PageRankOptions, Subgraph};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -39,7 +39,7 @@ fn theorem1_holds_on_random_subgraphs() {
         let sub = Subgraph::extract(g, random_subgraph(g.num_nodes(), &mut rng, size));
         let ideal = IdealRank {
             options: opts.clone(),
-            global_scores: truth.scores.clone().into(),
+            global_scores: GlobalScores::new(g, truth.scores.clone()).into(),
         };
         let r = ideal.rank_subgraph(g, &sub);
         let restricted = sub.nodes().restrict(&truth.scores);
@@ -63,7 +63,7 @@ fn theorem2_bound_holds_on_random_subgraphs() {
         let sub = Subgraph::extract(g, random_subgraph(g.num_nodes(), &mut rng, 300));
         let ideal = IdealRank {
             options: opts.clone(),
-            global_scores: truth.scores.clone().into(),
+            global_scores: GlobalScores::new(g, truth.scores.clone()).into(),
         };
         let ie = ideal.extended_graph(g, &sub);
         let ae = ApproxRank::new(opts.clone()).extended_graph(g, &sub);
@@ -110,7 +110,7 @@ fn approxrank_error_correlates_with_assumption_gap() {
     assert!(gap < 1e-9, "symmetric externals → zero gap, got {gap}");
     let ideal = IdealRank {
         options: opts.clone(),
-        global_scores: truth.scores.clone().into(),
+        global_scores: GlobalScores::new(&g, truth.scores.clone()).into(),
     };
     let ri = ideal.rank_subgraph(&g, &sub);
     let ra = ApproxRank::new(opts).rank_subgraph(&g, &sub);

@@ -11,7 +11,8 @@ use approxrank::gen::{au_like, AuConfig, BfsCrawler};
 use approxrank::graph::{DiGraph, Subgraph};
 use approxrank::pagerank::{pagerank, pagerank_gauss_seidel_red_black};
 use approxrank::{
-    ApproxRank, IdealRank, McApproxRank, PageRankOptions, StochasticComplementation, SubgraphRanker,
+    ApproxRank, GlobalScores, IdealRank, McApproxRank, PageRankOptions, StochasticComplementation,
+    SubgraphRanker,
 };
 
 /// Widths compared against the sequential (width-1) reference.
@@ -128,7 +129,7 @@ fn rankers_are_bitwise_stable_across_widths() {
                     "idealrank",
                     Box::new(IdealRank {
                         options: options(threads),
-                        global_scores: truth.clone().into(),
+                        global_scores: GlobalScores::new(&g, truth.clone()).into(),
                     }),
                 ),
                 (

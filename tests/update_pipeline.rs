@@ -8,7 +8,7 @@ use approxrank::gen::{au_like, evolve, AuConfig, ChurnConfig, ScoreGuidedCrawler
 use approxrank::metrics::footrule::footrule_from_scores;
 use approxrank::metrics::l1_distance;
 use approxrank::pagerank::pagerank;
-use approxrank::{IdealRank, NodeSet, PageRankOptions, Subgraph};
+use approxrank::{GlobalScores, IdealRank, NodeSet, PageRankOptions, Subgraph};
 
 fn opts() -> PageRankOptions {
     PageRankOptions::paper().with_tolerance(1e-9)
@@ -56,7 +56,7 @@ fn evolve_then_update_pipeline() {
     // IdealRank with stale externals.
     let ideal = IdealRank {
         options: opts(),
-        global_scores: stale.clone().into(),
+        global_scores: GlobalScores::new(&evo.graph, stale.clone()).into(),
     };
     let r_ideal = ideal.rank_subgraph(&evo.graph, &subgraph);
     let fr_ideal = footrule_from_scores(&r_ideal.local_scores, &truth_restricted);
