@@ -1,17 +1,17 @@
 //! Ablation for DESIGN.md §3.3: `A_approx` construction, naive (global
-//! degree scan per subgraph) vs precomputed (one scan amortized over all
+//! dangling scan per subgraph) vs aggregated (one scan amortized over all
 //! subgraphs) — the paper's §IV-B precomputation claim.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use approxrank_bench::datasets::{au_dataset, DatasetScale};
-use approxrank_core::{ApproxRank, GlobalPrecomputation};
+use approxrank_core::{ApproxRank, GlobalAggregates};
 use approxrank_graph::Subgraph;
 
 fn bench_construction(c: &mut Criterion) {
     let data = au_dataset(DatasetScale(0.25));
     let approx = ApproxRank::default();
-    let pre = GlobalPrecomputation::compute(data.graph());
+    let agg = GlobalAggregates::compute(data.graph());
 
     let mut group = c.benchmark_group("a_approx_construction");
     for domain in [11usize, 5, 0] {
@@ -20,12 +20,12 @@ fn bench_construction(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("naive", n), &sub, |b, s| {
             b.iter(|| approx.extended_graph(data.graph(), s));
         });
-        group.bench_with_input(BenchmarkId::new("precomputed", n), &sub, |b, s| {
-            b.iter(|| approx.extended_graph_precomputed(&pre, s));
+        group.bench_with_input(BenchmarkId::new("aggregated", n), &sub, |b, s| {
+            b.iter(|| approx.extended_graph_aggregated(agg, s));
         });
     }
     group.bench_function("precompute_once", |b| {
-        b.iter(|| GlobalPrecomputation::compute(data.graph()));
+        b.iter(|| GlobalAggregates::compute(data.graph()));
     });
     group.finish();
 }

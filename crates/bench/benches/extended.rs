@@ -1,6 +1,6 @@
-//! The Λ-collapsed solver itself: full solve, warm-started session solve,
-//! and top-k early termination — the knobs that matter once `A_approx`
-//! construction is already cheap.
+//! The Λ-collapsed solver itself: full solve and warm-started session
+//! solve — the knobs that matter once `A_approx` construction is already
+//! cheap.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -22,9 +22,6 @@ fn bench_extended(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("full_solve", |b| {
         b.iter(|| ext.solve(&opts));
-    });
-    group.bench_function("topk10_early_stop", |b| {
-        b.iter(|| ext.solve_topk(&opts, 10, 3));
     });
     group.bench_function("session_warm_resolve", |b| {
         let members: Vec<u32> = data.ds_subgraph(domain).members().to_vec();

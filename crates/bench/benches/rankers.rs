@@ -32,10 +32,10 @@ fn bench_rankers(c: &mut Criterion) {
         let r = ApproxRank::default();
         b.iter(|| r.rank(g, &sub));
     });
-    group.bench_function("approxrank_precomputed", |b| {
+    group.bench_function("approxrank_aggregated", |b| {
         let r = ApproxRank::default();
-        let pre = approxrank_core::GlobalPrecomputation::compute(g);
-        b.iter(|| r.rank_subgraph_precomputed(&pre, &sub));
+        let agg = approxrank_core::GlobalAggregates::compute(g);
+        b.iter(|| r.rank_subgraph_aggregated(agg, &sub));
     });
     group.bench_function("sc", |b| {
         let r = StochasticComplementation::default();

@@ -19,9 +19,9 @@ use std::process::ExitCode;
 
 use approxrank_bench::datasets::DatasetScale;
 use approxrank_bench::experiments::{
-    ablation_cohesion, ablation_damping, ablation_serverrank, ablation_solvers, convergence,
-    figure7, perf, scaling, scorecard, table2, table3, table4, table5, table6, theorem1, theorem2,
-    topk, updating, walk_quality, AuContext, ExperimentOutput, PoliticsContext,
+    ablation_cohesion, ablation_damping, ablation_serverrank, convergence, figure7, perf, scaling,
+    scorecard, table2, table3, table4, table5, table6, theorem1, theorem2, topk, updating,
+    walk_quality, AuContext, ExperimentOutput, PoliticsContext,
 };
 use approxrank_exec::{Executor, Partition};
 use approxrank_trace::{Event, Observer, Recorder};
@@ -29,7 +29,7 @@ use approxrank_trace::{Event, Observer, Recorder};
 const USAGE: &str =
     "usage: repro <experiment> [--scale F] [--jobs N] [--markdown] [--quiet] [--trace-json FILE]
 experiments: all, table2, table3, table4, table5, table6, figure7, theorem1, theorem2,
-             topk, serverrank, updating, cohesion, damping, solvers, scaling,
+             topk, serverrank, updating, cohesion, damping, scaling,
              convergence, scorecard, walk, bench (extensions)";
 
 struct Args {
@@ -270,7 +270,6 @@ fn main() -> ExitCode {
         "serverrank" => h.run("serverrank", || ablation_serverrank::run(scale)),
         "cohesion" => h.run("cohesion", || ablation_cohesion::run(scale)),
         "damping" => h.run("damping", || ablation_damping::run(scale)),
-        "solvers" => h.run("solvers", || ablation_solvers::run(scale)),
         "updating" => h.run("updating", || updating::run(scale)),
         "scaling" => h.run("scaling", || scaling::run(scale)),
         "convergence" => h.run("convergence", || convergence::run(scale)),

@@ -7,7 +7,6 @@
 pub mod ablation_cohesion;
 pub mod ablation_damping;
 pub mod ablation_serverrank;
-pub mod ablation_solvers;
 pub mod convergence;
 pub mod figure7;
 pub mod perf;

@@ -1,9 +1,9 @@
 //! `repro bench` — the measured performance baseline behind
 //! `PERFORMANCE.md`.
 //!
-//! Times the two pool-backed solvers (power iteration and red/black
-//! Gauss–Seidel) at a fixed iteration count across thread widths, and
-//! verifies on the spot that every width produces bit-identical scores.
+//! Times pool-backed power iteration at a fixed iteration count across
+//! thread widths, and verifies on the spot that every width produces
+//! bit-identical scores.
 //! Fixed iterations (rather than convergence) make the per-width work
 //! exactly equal, so the wall-clock ratio is a pure scheduling
 //! measurement.
@@ -14,10 +14,8 @@
 use std::time::Duration;
 
 use approxrank_exec::Executor;
-use approxrank_pagerank::{
-    pagerank_gauss_seidel_red_black_on, pagerank_with_start_observed_on, PageRankOptions,
-    PageRankResult,
-};
+use approxrank_graph::DiGraph;
+use approxrank_pagerank::{pagerank_with_start_observed_on, PageRankOptions};
 
 use crate::datasets::{politics_dataset, DatasetScale};
 use crate::report::Table;
@@ -61,7 +59,7 @@ struct Measurement {
     imbalance: f64,
 }
 
-fn measure(solver: impl Fn(&PageRankOptions, &Executor) -> PageRankResult) -> Vec<Measurement> {
+fn measure(graph: &DiGraph, uniform: &[f64]) -> Vec<Measurement> {
     WIDTHS
         .iter()
         .map(|&threads| {
@@ -70,7 +68,14 @@ fn measure(solver: impl Fn(&PageRankOptions, &Executor) -> PageRankResult) -> Ve
             let mut times = Vec::with_capacity(REPS);
             let mut scores = Vec::new();
             for _ in 0..REPS {
-                let r = solver(&options, &exec);
+                let r = pagerank_with_start_observed_on(
+                    graph,
+                    &options,
+                    uniform,
+                    uniform,
+                    approxrank_trace::null(),
+                    &exec,
+                );
                 times.push(r.elapsed);
                 scores = r.scores;
             }
@@ -122,21 +127,7 @@ pub fn run(scale: DatasetScale) -> ExperimentOutput {
     let n = g.num_nodes();
     let uniform = vec![1.0 / n.max(1) as f64; n];
 
-    let power = measure(|options, exec| {
-        pagerank_with_start_observed_on(
-            g,
-            options,
-            &uniform,
-            &uniform,
-            approxrank_trace::null(),
-            exec,
-        )
-    });
-    let gs = measure(|options, exec| {
-        pagerank_gauss_seidel_red_black_on(g, options, approxrank_trace::null(), exec)
-    });
-
-    let (power_table, power_ok) = scaling_table(
+    let (table, identical) = scaling_table(
         &format!(
             "Power iteration, {} pages / {} edges, {} sweeps (median of {})",
             n,
@@ -144,30 +135,20 @@ pub fn run(scale: DatasetScale) -> ExperimentOutput {
             ITERATIONS,
             REPS
         ),
-        &power,
-    );
-    let (gs_table, gs_ok) = scaling_table(
-        &format!(
-            "Red/black Gauss-Seidel, {} pages / {} edges, {} sweeps (median of {})",
-            n,
-            g.num_edges(),
-            ITERATIONS,
-            REPS
-        ),
-        &gs,
+        &measure(g, &uniform),
     );
 
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
     let mut out = ExperimentOutput {
-        tables: vec![power_table, gs_table],
+        tables: vec![table],
         notes: Vec::new(),
     };
     out.notes.push(format!(
         "host: {cores} hardware thread(s) available; speedup beyond that width is not physically possible"
     ));
-    out.notes.push(if power_ok && gs_ok {
+    out.notes.push(if identical {
         "determinism: every width produced bit-identical scores".to_string()
     } else {
         "DETERMINISM VIOLATION: some width diverged from the single-thread scores".to_string()
@@ -182,10 +163,8 @@ mod tests {
     #[test]
     fn produces_tables_and_stays_deterministic() {
         let out = run(DatasetScale(0.05));
-        assert_eq!(out.tables.len(), 2);
-        for t in &out.tables {
-            assert_eq!(t.rows.len(), WIDTHS.len());
-        }
+        assert_eq!(out.tables.len(), 1);
+        assert_eq!(out.tables[0].rows.len(), WIDTHS.len());
         assert!(
             out.notes.iter().any(|n| n.contains("bit-identical")),
             "determinism note missing: {:?}",

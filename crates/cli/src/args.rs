@@ -42,34 +42,6 @@ impl Algorithm {
     }
 }
 
-/// Which global solver `subrank global` uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Solver {
-    /// Power iteration (the default).
-    #[default]
-    Power,
-    /// Lumped Gauss–Seidel.
-    GaussSeidel,
-    /// Red/black Gauss–Seidel (parallelizable; see `--threads`).
-    GaussSeidelRb,
-    /// `A_ε` extrapolation.
-    Extrapolated,
-}
-
-impl Solver {
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "power" => Ok(Solver::Power),
-            "gauss-seidel" | "gs" => Ok(Solver::GaussSeidel),
-            "gauss-seidel-rb" | "gs-rb" => Ok(Solver::GaussSeidelRb),
-            "extrapolated" => Ok(Solver::Extrapolated),
-            other => Err(format!(
-                "unknown solver {other:?} (power|gauss-seidel|gs-rb|extrapolated)"
-            )),
-        }
-    }
-}
-
 /// Telemetry flags shared by the solving subcommands.
 #[derive(Clone, Debug, Default)]
 pub struct TraceOpts {
@@ -149,15 +121,13 @@ impl Default for RankArgs {
 pub struct GlobalArgs {
     /// Edge-list (or binary) graph file.
     pub graph: String,
-    /// Solver choice.
-    pub solver: Solver,
     /// Damping factor.
     pub damping: f64,
     /// Convergence tolerance.
     pub tolerance: f64,
     /// Print only the top-k pages (0 = all).
     pub top: usize,
-    /// Worker threads for the solvers (1 = sequential, the default).
+    /// Worker threads for power iteration (1 = sequential, the default).
     pub threads: usize,
     /// Telemetry flags.
     pub trace: TraceOpts,
@@ -344,8 +314,7 @@ pub const USAGE: &str = "usage:
                  [--scores FILE] [--damping 0.85] [--tolerance 1e-5] [--top K]
                  [--walks 256] [--epsilon 0.001] [--seed 42]        (mc/push estimator knobs)
                  [--threads N] [--trace] [--trace-json FILE] [--quiet]
-  subrank global --graph FILE [--solver power|gauss-seidel|gs-rb|extrapolated]
-                 [--damping 0.85] [--tolerance 1e-5] [--top K]
+  subrank global --graph FILE [--damping 0.85] [--tolerance 1e-5] [--top K]
                  [--threads N] [--trace] [--trace-json FILE] [--quiet]
   subrank compare --graph FILE --subgraph FILE [--truth yes] [--damping 0.85] [--tolerance 1e-5]
   subrank stats  --graph FILE [--shards N [--partition range|scc|hash]]
@@ -514,10 +483,6 @@ impl Cli {
             }
             "global" => Command::Global(GlobalArgs {
                 graph: opts.require("graph")?,
-                solver: match opts.take("solver") {
-                    None => Solver::default(),
-                    Some(v) => Solver::parse(&v)?,
-                },
                 damping: take_damping(&mut opts)?,
                 tolerance: take_tolerance(&mut opts)?,
                 top: opts.numeric("top", 0usize)?,
@@ -890,22 +855,6 @@ mod tests {
         assert_eq!(a.input, None);
         assert_eq!(a.requests.as_deref(), Some("slow.jsonl"));
         assert_eq!(a.top, 3);
-    }
-
-    #[test]
-    fn solver_aliases() {
-        let cli = Cli::parse(&argv("global --graph g --solver gs")).unwrap();
-        let Command::Global(a) = cli.command else {
-            panic!()
-        };
-        assert_eq!(a.solver, Solver::GaussSeidel);
-        for alias in ["gs-rb", "gauss-seidel-rb"] {
-            let cli = Cli::parse(&argv(&format!("global --graph g --solver {alias}"))).unwrap();
-            let Command::Global(a) = cli.command else {
-                panic!()
-            };
-            assert_eq!(a.solver, Solver::GaussSeidelRb);
-        }
     }
 
     #[test]

@@ -1,12 +1,9 @@
-//! `subrank global` — compute global PageRank with a chosen solver.
+//! `subrank global` — compute global PageRank by power iteration.
 
-use approxrank_pagerank::{
-    pagerank_extrapolated_observed, pagerank_gauss_seidel_observed,
-    pagerank_gauss_seidel_red_black_observed, pagerank_observed, PageRankOptions,
-};
+use approxrank_pagerank::{pagerank_observed, PageRankOptions};
 use approxrank_trace::{Observer, Recorder};
 
-use crate::args::{GlobalArgs, Solver};
+use crate::args::GlobalArgs;
 use crate::commands::{load_graph, render_scores, render_trace};
 
 /// Runs the command, returning the rendered scores.
@@ -22,21 +19,7 @@ pub fn run(args: &GlobalArgs) -> Result<String, String> {
     } else {
         approxrank_trace::null()
     };
-    let (name, result) = match args.solver {
-        Solver::Power => ("power iteration", pagerank_observed(&graph, &options, obs)),
-        Solver::GaussSeidel => (
-            "Gauss-Seidel",
-            pagerank_gauss_seidel_observed(&graph, &options, obs),
-        ),
-        Solver::GaussSeidelRb => (
-            "red/black Gauss-Seidel",
-            pagerank_gauss_seidel_red_black_observed(&graph, &options, obs),
-        ),
-        Solver::Extrapolated => (
-            "A_eps extrapolation",
-            pagerank_extrapolated_observed(&graph, &options, obs),
-        ),
-    };
+    let result = pagerank_observed(&graph, &options, obs);
     let mut pairs: Vec<(u32, f64)> = result
         .scores
         .iter()
@@ -46,7 +29,7 @@ pub fn run(args: &GlobalArgs) -> Result<String, String> {
     let mut out = String::new();
     if !args.trace.quiet {
         out.push_str(&format!(
-            "# global PageRank via {name} on {} pages: {}\n",
+            "# global PageRank via power iteration on {} pages: {}\n",
             graph.num_nodes(),
             result.summary()
         ));
@@ -70,53 +53,12 @@ mod tests {
     }
 
     #[test]
-    fn all_solvers_produce_same_top_page() {
-        let g = graph_file("global-solvers");
-        let mut tops = Vec::new();
-        for solver in [
-            Solver::Power,
-            Solver::GaussSeidel,
-            Solver::GaussSeidelRb,
-            Solver::Extrapolated,
-        ] {
-            let out = run(&GlobalArgs {
-                graph: g.clone(),
-                solver,
-                damping: 0.85,
-                tolerance: 1e-10,
-                top: 1,
-                threads: 1,
-                trace: Default::default(),
-            })
-            .unwrap();
-            let top_line = out
-                .lines()
-                .find(|l| !l.starts_with('#'))
-                .unwrap()
-                .to_string();
-            tops.push(
-                out.lines()
-                    .filter(|l| !l.starts_with('#'))
-                    .nth(1)
-                    .unwrap()
-                    .split('\t')
-                    .next()
-                    .unwrap()
-                    .to_string(),
-            );
-            assert!(top_line.starts_with("page"));
-        }
-        assert!(tops.windows(2).all(|w| w[0] == w[1]), "{tops:?}");
-    }
-
-    #[test]
     fn threads_do_not_change_scores_and_trace_shows_pool() {
         use crate::args::TraceOpts;
         let g = graph_file("global-threads");
         let run_with = |threads: usize, trace: bool| {
             run(&GlobalArgs {
                 graph: g.clone(),
-                solver: Solver::Power,
                 damping: 0.85,
                 tolerance: 1e-10,
                 top: 0,

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! subrank rank   --graph web.edges --subgraph ids.txt [--algorithm approxrank]
-//! subrank global --graph web.edges [--solver power]
+//! subrank global --graph web.edges [--threads 4]
 //! subrank compare --graph web.edges --subgraph ids.txt --truth yes
 //! subrank stats  --graph web.edges
 //! subrank gen    --dataset au --pages 50000 --out web.edges

@@ -154,43 +154,40 @@ fn partition_and_sharded_stats_pipeline() {
 }
 
 #[test]
-fn global_solvers_agree_through_the_binary() {
+fn global_runs_power_iteration_through_the_binary() {
     let dir = workdir();
     let graph = dir.join("tiny.edges");
     std::fs::write(&graph, "0 1\n1 2\n2 0\n2 1\n3 0\n").unwrap();
-    let mut first_lines = Vec::new();
-    for solver in ["power", "gs", "extrapolated"] {
-        let out = subrank()
-            .args([
-                "global",
-                "--graph",
-                graph.to_str().unwrap(),
-                "--solver",
-                solver,
-                "--tolerance",
-                "1e-10",
-                "--top",
-                "1",
-            ])
+    let global = |extra: &[&str]| {
+        subrank()
+            .args(["global", "--graph", graph.to_str().unwrap()])
+            .args(["--tolerance", "1e-10", "--top", "1"])
+            .args(extra)
             .output()
-            .unwrap();
-        assert!(out.status.success());
-        let text = String::from_utf8_lossy(&out.stdout).into_owned();
-        let top = text
-            .lines()
-            .filter(|l| !l.starts_with('#'))
-            .nth(1)
             .unwrap()
-            .split('\t')
-            .next()
-            .unwrap()
-            .to_string();
-        first_lines.push(top);
-    }
+    };
+
+    let out = global(&[]);
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
     assert!(
-        first_lines.windows(2).all(|w| w[0] == w[1]),
-        "solvers disagree on the top page: {first_lines:?}"
+        text.starts_with("# global PageRank via power iteration on 4 pages"),
+        "{text}"
     );
+    let top = text
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .nth(1)
+        .unwrap()
+        .split('\t')
+        .next()
+        .unwrap();
+    assert_eq!(top, "1", "{text}");
+
+    let out = global(&["--solver", "gs"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --solver"), "{stderr}");
 }
 
 #[test]

@@ -14,7 +14,7 @@ use approxrank_trace::Observer;
 
 use crate::extended::ExtendedLocalGraph;
 use crate::par::boundary_partition;
-use crate::precompute::{GlobalAggregates, GlobalPrecomputation};
+use crate::precompute::GlobalAggregates;
 use crate::ranker::{RankScores, SubgraphRanker};
 
 /// The ApproxRank algorithm.
@@ -31,49 +31,17 @@ impl ApproxRank {
     }
 
     /// Builds `A_approx` for `subgraph`, scanning the global graph's
-    /// degree array once for the external dangling-page count. For
-    /// multi-subgraph workloads, precompute that count once with
-    /// [`GlobalPrecomputation`] and use
-    /// [`ApproxRank::extended_graph_precomputed`].
+    /// degree array once for the dangling-page count. For multi-subgraph
+    /// workloads, count once with [`GlobalAggregates::compute`] and use
+    /// [`ApproxRank::extended_graph_aggregated`].
     pub fn extended_graph(&self, global: &DiGraph, subgraph: &Subgraph) -> ExtendedLocalGraph {
-        let pre = GlobalPrecomputation::compute(global);
-        self.extended_graph_precomputed(&pre, subgraph)
+        self.extended_graph_aggregated(GlobalAggregates::compute(global), subgraph)
     }
 
     /// An executor sized from `self.options.threads`, clamped so tiny
     /// subgraphs never pay for idle workers.
     fn executor(&self, subgraph: &Subgraph) -> Executor {
         Executor::new(self.options.threads.min(subgraph.len().max(1)))
-    }
-
-    /// Builds `A_approx` using precomputed global aggregates; runs in
-    /// `O(n + boundary)` — no pass over the global graph (the
-    /// precomputation fast path of §IV-B's last paragraph).
-    pub fn extended_graph_precomputed(
-        &self,
-        pre: &GlobalPrecomputation,
-        subgraph: &Subgraph,
-    ) -> ExtendedLocalGraph {
-        self.extended_graph_precomputed_on(pre, subgraph, &self.executor(subgraph))
-    }
-
-    /// [`Self::extended_graph_precomputed`] on a caller-supplied executor:
-    /// the dangling census, the Λ-row accumulation over the boundary
-    /// in-edges, and the CSR assembly all fan out over the pool. The chunk
-    /// grid depends only on the subgraph, so the collapsed matrix is
-    /// bit-identical at any thread count.
-    pub fn extended_graph_precomputed_on(
-        &self,
-        pre: &GlobalPrecomputation,
-        subgraph: &Subgraph,
-        exec: &Executor,
-    ) -> ExtendedLocalGraph {
-        assert_eq!(
-            pre.num_nodes(),
-            subgraph.global_nodes(),
-            "precomputation is for a different graph"
-        );
-        self.extended_graph_aggregated_on(GlobalAggregates::from(pre), subgraph, exec)
     }
 
     /// Builds `A_approx` from just the two global scalars a shard carries
@@ -88,7 +56,13 @@ impl ApproxRank {
         self.extended_graph_aggregated_on(agg, subgraph, &self.executor(subgraph))
     }
 
-    /// [`Self::extended_graph_aggregated`] on a caller-supplied executor.
+    /// [`Self::extended_graph_aggregated`] on a caller-supplied executor:
+    /// the dangling census, the Λ-row accumulation over the boundary
+    /// in-edges, and the CSR assembly all fan out over the pool. The chunk
+    /// grid depends only on the subgraph, so the collapsed matrix is
+    /// bit-identical at any thread count. Runs in `O(n + boundary)` — no
+    /// pass over the global graph (the precomputation fast path of §IV-B's
+    /// last paragraph).
     pub fn extended_graph_aggregated_on(
         &self,
         agg: GlobalAggregates,
@@ -169,53 +143,7 @@ impl ApproxRank {
         subgraph: &Subgraph,
         obs: &dyn Observer,
     ) -> RankScores {
-        let exec = self.executor(subgraph);
-        let ext = {
-            let _span = obs.span("collapse_lambda");
-            let pre = GlobalPrecomputation::compute(global);
-            self.extended_graph_precomputed_on(&pre, subgraph, &exec)
-        };
-        let scores = Self::solve_scores(
-            &ext,
-            &self.options,
-            &ext.personalization(),
-            subgraph.len(),
-            obs,
-        );
-        emit_exec_stats(&exec, obs);
-        scores
-    }
-
-    /// Runs ApproxRank with precomputed global aggregates.
-    pub fn rank_subgraph_precomputed(
-        &self,
-        pre: &GlobalPrecomputation,
-        subgraph: &Subgraph,
-    ) -> RankScores {
-        self.rank_subgraph_precomputed_observed(pre, subgraph, approxrank_trace::null())
-    }
-
-    /// [`Self::rank_subgraph_precomputed`] with telemetry.
-    pub fn rank_subgraph_precomputed_observed(
-        &self,
-        pre: &GlobalPrecomputation,
-        subgraph: &Subgraph,
-        obs: &dyn Observer,
-    ) -> RankScores {
-        let exec = self.executor(subgraph);
-        let ext = {
-            let _span = obs.span("collapse_lambda");
-            self.extended_graph_precomputed_on(pre, subgraph, &exec)
-        };
-        let scores = Self::solve_scores(
-            &ext,
-            &self.options,
-            &ext.personalization(),
-            subgraph.len(),
-            obs,
-        );
-        emit_exec_stats(&exec, obs);
-        scores
+        self.rank_subgraph_aggregated_observed(GlobalAggregates::compute(global), subgraph, obs)
     }
 
     /// Runs ApproxRank from shard-carried global scalars alone.
@@ -398,17 +326,6 @@ mod tests {
             idx
         };
         assert_eq!(rank(&r.local_scores), rank(&restricted));
-    }
-
-    #[test]
-    fn precomputed_path_identical() {
-        let g = figure4();
-        let sub = Subgraph::extract(&g, NodeSet::from_sorted(7, [0, 1, 2, 3]));
-        let approx = ApproxRank::new(tight());
-        let pre = GlobalPrecomputation::compute(&g);
-        let a = approx.rank_subgraph(&g, &sub);
-        let b = approx.rank_subgraph_precomputed(&pre, &sub);
-        assert_eq!(a, b);
     }
 
     #[test]

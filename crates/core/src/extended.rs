@@ -417,78 +417,6 @@ impl ExtendedLocalGraph {
         self.solve_from_with(options, personalization, personalization, obs)
     }
 
-    /// Power iteration that stops as soon as the *identity* of the top-`k`
-    /// local pages has been stable for `stable_rounds` consecutive
-    /// iterations (or full convergence, whichever comes first).
-    ///
-    /// The paper's §V-C observes that Top-K query answering needs ordering
-    /// accuracy, not score accuracy — and the top of the ranking settles
-    /// far earlier than the L1 residual. Returns the result plus the
-    /// stabilized top-`k` local ids (descending score).
-    ///
-    /// # Panics
-    /// Panics if `k == 0` or `stable_rounds == 0`.
-    pub fn solve_topk(
-        &self,
-        options: &PageRankOptions,
-        k: usize,
-        stable_rounds: usize,
-    ) -> (PageRankResult, Vec<u32>) {
-        assert!(k > 0, "k must be positive");
-        assert!(stable_rounds > 0, "stable_rounds must be positive");
-        let t0 = Instant::now();
-        let n = self.n;
-        let k = k.min(n);
-        let p = self.personalization();
-        let mut x = p.clone();
-        let mut next = vec![0.0f64; n + 1];
-        let mut iterations = 0;
-        let mut converged = false;
-        let mut prev_top: Vec<u32> = Vec::new();
-        let mut stable = 0usize;
-        let top_of = |scores: &[f64]| -> Vec<u32> {
-            let mut idx: Vec<u32> = (0..n as u32).collect();
-            idx.sort_by(|&a, &b| {
-                scores[b as usize]
-                    .partial_cmp(&scores[a as usize])
-                    .expect("no NaN scores")
-                    .then(a.cmp(&b))
-            });
-            idx.truncate(k);
-            idx
-        };
-        while iterations < options.max_iterations {
-            iterations += 1;
-            self.step_with(&x, &mut next, options.damping, &p);
-            let delta: f64 = next.iter().zip(&x).map(|(a, b)| (a - b).abs()).sum();
-            std::mem::swap(&mut x, &mut next);
-            let top = top_of(&x[..n]);
-            if top == prev_top {
-                stable += 1;
-            } else {
-                stable = 1;
-                prev_top = top;
-            }
-            if delta < options.tolerance {
-                converged = true;
-                break;
-            }
-            if stable >= stable_rounds {
-                break;
-            }
-        }
-        (
-            PageRankResult {
-                scores: x,
-                iterations,
-                converged,
-                residuals: Vec::new(),
-                elapsed: t0.elapsed(),
-            },
-            prev_top,
-        )
-    }
-
     fn solve_from_with(
         &self,
         options: &PageRankOptions,
@@ -755,73 +683,5 @@ mod tests {
         for k in 0..3 {
             assert!((r.scores[k] - 1.0 / 3.0).abs() < 1e-6);
         }
-    }
-}
-
-#[cfg(test)]
-mod topk_tests {
-    use super::*;
-    use approxrank_graph::{DiGraph, NodeSet, Subgraph};
-
-    /// A larger subgraph where full convergence takes many iterations but
-    /// the top of the ranking settles quickly.
-    fn big_fixture() -> ExtendedLocalGraph {
-        let n_total = 500u32;
-        let mut edges = Vec::new();
-        for i in 0..n_total {
-            edges.push((i, (i + 1) % n_total));
-            edges.push((i, (i * 17 + 3) % n_total));
-            // Concentrate endorsements on a few celebrities.
-            if i % 3 == 0 {
-                edges.push((i, (i % 7) * 2));
-            }
-        }
-        let g = DiGraph::from_edges(n_total as usize, &edges);
-        let sub = Subgraph::extract(&g, NodeSet::from_sorted(n_total as usize, 0..300u32));
-        crate::ApproxRank::default().extended_graph(&g, &sub)
-    }
-
-    #[test]
-    fn topk_matches_converged_ranking() {
-        let ext = big_fixture();
-        let opts = PageRankOptions::paper().with_tolerance(1e-12);
-        let full = ext.solve(&opts);
-        let mut full_top: Vec<u32> = (0..ext.num_local() as u32).collect();
-        full_top.sort_by(|&a, &b| {
-            full.scores[b as usize]
-                .partial_cmp(&full.scores[a as usize])
-                .unwrap()
-                .then(a.cmp(&b))
-        });
-        full_top.truncate(10);
-        let (result, top) = ext.solve_topk(&opts, 10, 5);
-        assert_eq!(top, full_top, "early-terminated top-10 must match");
-        assert!(
-            result.iterations <= full.iterations,
-            "early stop {} vs full {}",
-            result.iterations,
-            full.iterations
-        );
-    }
-
-    #[test]
-    fn topk_early_stop_saves_iterations() {
-        let ext = big_fixture();
-        let opts = PageRankOptions::paper().with_tolerance(1e-13);
-        let full = ext.solve(&opts);
-        let (result, _) = ext.solve_topk(&opts, 5, 3);
-        assert!(
-            result.iterations < full.iterations,
-            "early stop {} vs full {}",
-            result.iterations,
-            full.iterations
-        );
-    }
-
-    #[test]
-    fn topk_clamps_k() {
-        let ext = big_fixture();
-        let (_, top) = ext.solve_topk(&PageRankOptions::paper(), 10_000, 2);
-        assert_eq!(top.len(), ext.num_local());
     }
 }

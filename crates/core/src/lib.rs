@@ -40,7 +40,6 @@ pub mod approx;
 pub mod baselines;
 pub mod extended;
 pub mod ideal;
-pub mod p2p;
 mod par;
 pub mod precompute;
 pub mod ranker;
@@ -53,7 +52,6 @@ pub mod weighted;
 pub use approx::ApproxRank;
 pub use extended::ExtendedLocalGraph;
 pub use ideal::{GlobalScores, IdealRank};
-pub use p2p::JxpNetwork;
 pub use precompute::{GlobalAggregates, GlobalPrecomputation};
 pub use ranker::{Estimate, RankScores, SubgraphRanker};
 pub use sc::StochasticComplementation;

@@ -3,17 +3,22 @@
 //! The paper (§IV-B, last paragraph) points out that ApproxRank "is
 //! suitable to adopt precomputation for various subgraphs": with the same
 //! global graph, `A_approx` can be assembled from the difference between
-//! local and global aggregates. This module captures the global side of
-//! that difference — per-node out-degrees and the dangling count — so
+//! local and global aggregates. [`GlobalAggregates`] captures the global
+//! side of that difference — the page count and the dangling count — so
 //! that building `A_approx` for any subgraph afterwards touches only the
 //! subgraph and its boundary.
 //!
-//! The ablation bench `construction` measures exactly this naive-vs-
-//! precomputed difference.
+//! The criterion bench `construction` measures that difference: a fresh
+//! global scan per subgraph against one [`GlobalAggregates`] reused.
 
 use approxrank_graph::DiGraph;
 
-/// Global aggregates reused across subgraphs of the same global graph.
+/// Per-page out-degrees plus the dangling count of one global graph.
+///
+/// Nothing in the workspace uses it: the Λ-collapse needs only
+/// [`GlobalAggregates`]. It stays because the benchmark harness under
+/// `perfbench/` times [`Self::compute`]; ROADMAP.md removes it together
+/// with that timing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GlobalPrecomputation {
     out_degrees: Vec<u32>,
@@ -76,15 +81,6 @@ impl GlobalAggregates {
     }
 }
 
-impl From<&GlobalPrecomputation> for GlobalAggregates {
-    fn from(pre: &GlobalPrecomputation) -> Self {
-        GlobalAggregates {
-            num_nodes: pre.num_nodes(),
-            num_dangling: pre.num_dangling(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,7 +90,8 @@ mod tests {
         let g = DiGraph::from_edges(5, &[(0, 1), (1, 2), (0, 3)]);
         let pre = GlobalPrecomputation::compute(&g);
         let agg = GlobalAggregates::compute(&g);
-        assert_eq!(agg, GlobalAggregates::from(&pre));
+        assert_eq!(agg.num_nodes, pre.num_nodes());
+        assert_eq!(agg.num_dangling, pre.num_dangling());
         assert_eq!(agg.num_nodes, 5);
         assert_eq!(agg.num_dangling, 3);
     }

@@ -4,7 +4,7 @@
 //! focused crawler adds pages batch by batch (Figure 1), an index ingests
 //! and expires documents. Rebuilding `A_approx` is cheap (`O(n +
 //! boundary)` with the §IV-B precomputation), but a cold power iteration
-//! is not. A [`SubgraphSession`] owns the precomputation and the previous
+//! is not. A [`SubgraphSession`] owns the global aggregates and the previous
 //! solution, maps it onto each revised member set as the starting vector,
 //! and re-solves warm — the same trick SC's 25-round loop depends on,
 //! offered as a first-class API.
@@ -13,7 +13,7 @@ use approxrank_graph::{DiGraph, NodeId, NodeSet, Subgraph, SubgraphSource};
 use approxrank_pagerank::PageRankOptions;
 
 use crate::approx::ApproxRank;
-use crate::precompute::{GlobalAggregates, GlobalPrecomputation};
+use crate::precompute::GlobalAggregates;
 use crate::ranker::RankScores;
 
 /// A long-lived ApproxRank session over one global graph.
@@ -42,35 +42,12 @@ impl SubgraphSession {
     /// # Panics
     /// Panics if `initial` is empty.
     pub fn new(global: &DiGraph, initial: NodeSet, options: PageRankOptions) -> Self {
-        let precomputation = GlobalPrecomputation::compute(global);
-        Self::with_precomputation(global, initial, options, precomputation)
-    }
-
-    /// Opens a session reusing an already-computed [`GlobalPrecomputation`]
-    /// of the same global graph — the serving layer opens many sessions
-    /// against one graph and must not pay the `O(N)` degree scan per
-    /// session.
-    ///
-    /// # Panics
-    /// Panics if `initial` is empty or if `precomputation` belongs to a
-    /// graph of a different size.
-    pub fn with_precomputation(
-        global: &DiGraph,
-        initial: NodeSet,
-        options: PageRankOptions,
-        precomputation: GlobalPrecomputation,
-    ) -> Self {
         assert!(!initial.is_empty(), "session needs a non-empty subgraph");
-        assert_eq!(
-            precomputation.num_nodes(),
-            global.num_nodes(),
-            "precomputation belongs to a different graph"
-        );
         let members = initial.members().to_vec();
         let subgraph = Subgraph::extract(global, initial);
         SubgraphSession {
             options,
-            aggregates: GlobalAggregates::from(&precomputation),
+            aggregates: GlobalAggregates::compute(global),
             members,
             subgraph,
             last_scores: None,
@@ -358,32 +335,6 @@ mod tests {
         session.remove_pages(&g, &[6, 999]); // 999 is not a member
         assert_eq!(session.members(), &[5, 7, 8]);
         assert_eq!(session.subgraph().len(), 3);
-    }
-
-    #[test]
-    fn shared_precomputation_matches_owned() {
-        let g = global();
-        let pre = GlobalPrecomputation::compute(&g);
-        let set = || NodeSet::from_sorted(g.num_nodes(), 10..60u32);
-        let mut owned = SubgraphSession::new(&g, set(), opts());
-        let mut shared = SubgraphSession::with_precomputation(&g, set(), opts(), pre);
-        let a = owned.solve();
-        let b = shared.solve();
-        assert_eq!(a.local_scores, b.local_scores);
-    }
-
-    #[test]
-    #[should_panic(expected = "different graph")]
-    fn rejects_foreign_precomputation() {
-        let g = global();
-        let other = DiGraph::from_edges(3, &[(0, 1)]);
-        let pre = GlobalPrecomputation::compute(&other);
-        SubgraphSession::with_precomputation(
-            &g,
-            NodeSet::from_sorted(g.num_nodes(), [1, 2]),
-            opts(),
-            pre,
-        );
     }
 
     #[test]

@@ -17,10 +17,7 @@
 //! a page with out-links moves to each target with probability
 //! `1/out_degree`; a dangling page jumps uniformly to all `N` pages.
 
-pub mod adaptive;
 pub mod authority;
-pub mod extrapolation;
-pub mod gauss_seidel;
 pub mod options;
 pub mod parallel;
 pub mod power;
@@ -32,10 +29,3 @@ pub use parallel::{emit_exec_stats, executor_for, pagerank_with_start_observed_o
 pub use power::{pagerank, pagerank_observed, pagerank_with_start, pagerank_with_start_observed};
 pub use result::PageRankResult;
 pub use weighted::WeightedDiGraph;
-
-pub use adaptive::{pagerank_adaptive, pagerank_adaptive_observed};
-pub use extrapolation::{pagerank_extrapolated, pagerank_extrapolated_observed};
-pub use gauss_seidel::{
-    pagerank_gauss_seidel, pagerank_gauss_seidel_observed, pagerank_gauss_seidel_red_black,
-    pagerank_gauss_seidel_red_black_observed, pagerank_gauss_seidel_red_black_on,
-};

@@ -165,23 +165,6 @@ pub fn pagerank_with_start_observed_on(
     }
 }
 
-/// Parallel PageRank with a self-managed pool; invoked via
-/// [`crate::pagerank_with_start`] when `options.threads > 1`. Prefer
-/// [`pagerank_with_start_observed_on`] when you already hold an
-/// [`Executor`] — this convenience spins one up per call.
-pub fn pagerank_parallel(
-    graph: &DiGraph,
-    options: &PageRankOptions,
-    personalization: &[f64],
-    start: &[f64],
-    obs: &dyn Observer,
-) -> PageRankResult {
-    let exec = executor_for(graph, options);
-    let r = pagerank_with_start_observed_on(graph, options, personalization, start, obs, &exec);
-    emit_exec_stats(&exec, obs);
-    r
-}
-
 /// Builds the executor `options.threads` asks for, clamped so a tiny
 /// graph never spawns more workers than it has nodes.
 pub fn executor_for(graph: &DiGraph, options: &PageRankOptions) -> Executor {
@@ -322,7 +305,7 @@ mod tests {
         use approxrank_trace::{Event, Recorder};
         let g = ring_with_chords(500);
         let rec = Recorder::new();
-        pagerank_parallel(
+        crate::pagerank_with_start_observed(
             &g,
             &PageRankOptions::paper().with_threads(3),
             &vec![1.0 / g.num_nodes() as f64; g.num_nodes()],

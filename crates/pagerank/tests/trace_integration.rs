@@ -3,10 +3,7 @@
 //! iteration it just ran.
 
 use approxrank_graph::DiGraph;
-use approxrank_pagerank::{
-    pagerank, pagerank_adaptive_observed, pagerank_gauss_seidel_observed, pagerank_observed,
-    PageRankOptions,
-};
+use approxrank_pagerank::{pagerank, pagerank_observed, PageRankOptions};
 use approxrank_trace::{Event, NullObserver, Observer, Recorder};
 
 fn fixture() -> DiGraph {
@@ -101,26 +98,4 @@ fn elapsed_wall_time_is_plausible() {
     // Generous sanity bounds only: positive, and far below a minute.
     assert!(result.elapsed.as_nanos() > 0);
     assert!(result.elapsed.as_secs() < 60);
-}
-
-#[test]
-fn other_solvers_emit_their_own_solver_names() {
-    let g = fixture();
-    let rec = Recorder::new();
-    pagerank_gauss_seidel_observed(&g, &opts(), &rec);
-    pagerank_adaptive_observed(&g, &opts(), &rec);
-    let events = rec.events();
-    let has = |name: &str| {
-        events
-            .iter()
-            .any(|e| matches!(e, Event::Iteration { solver, .. } if solver == name))
-    };
-    assert!(has("gauss_seidel"));
-    assert!(has("adaptive"));
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(e, Event::Gauge { name, .. } if name == "frozen_fraction")),
-        "adaptive reports its frozen fraction"
-    );
 }

@@ -25,15 +25,15 @@ pub enum Event {
     },
     /// A named float measurement (masses, fractions, tolerances).
     Gauge {
-        /// Gauge name, e.g. `"skipped_fraction"`.
+        /// Gauge name, e.g. `"pool_imbalance"`.
         name: String,
         /// The measured value.
         value: f64,
     },
     /// One sweep of an iterative solver.
     Iteration {
-        /// Solver name: `"power"`, `"parallel"`, `"gauss_seidel"`,
-        /// `"adaptive"`, `"extrapolation"`, or `"extended"`.
+        /// Solver name: `"power"`, `"parallel"`, `"extended"`, or
+        /// `"authority_flow"`.
         solver: String,
         /// Zero-based iteration index.
         iteration: usize,

@@ -7,7 +7,7 @@ use crate::{Event, Observer};
 /// Thread-safe in-memory collector: every recorded [`Event`] is appended
 /// to an internal vector under a mutex.
 ///
-/// Safe to share across the scoped threads of `pagerank_parallel`;
+/// Safe to share across the pool threads of a parallel solve;
 /// contention is negligible because solvers emit one event per sweep,
 /// not per node.
 #[derive(Debug, Default)]

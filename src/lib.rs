@@ -49,7 +49,7 @@ pub use approxrank_trace as trace;
 pub use approxrank_walk as walk;
 
 pub use approxrank_core::{
-    ApproxRank, Estimate, GlobalPrecomputation, GlobalScores, IdealRank, RankScores,
+    ApproxRank, Estimate, GlobalAggregates, GlobalScores, IdealRank, RankScores,
     StochasticComplementation, SubgraphRanker,
 };
 pub use approxrank_graph::{DiGraph, NodeSet, Subgraph};

@@ -118,11 +118,11 @@ fn bfs_subgraphs_are_harder_than_ds_subgraphs() {
 fn precomputation_reused_across_subgraphs() {
     let data = dataset();
     let g = data.graph();
-    let pre = approxrank::GlobalPrecomputation::compute(g);
+    let agg = approxrank::GlobalAggregates::compute(g);
     let approx = ApproxRank::default();
     for d in 0..4 {
         let sub = Subgraph::extract(g, data.ds_subgraph(d));
-        let fast = approx.rank_subgraph_precomputed(&pre, &sub);
+        let fast = approx.rank_subgraph_aggregated(agg, &sub);
         let slow = approx.rank_subgraph(g, &sub);
         assert_eq!(fast, slow, "domain {d}");
     }

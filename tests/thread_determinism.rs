@@ -9,7 +9,7 @@
 
 use approxrank::gen::{au_like, AuConfig, BfsCrawler};
 use approxrank::graph::{DiGraph, Subgraph};
-use approxrank::pagerank::{pagerank, pagerank_gauss_seidel_red_black};
+use approxrank::pagerank::pagerank;
 use approxrank::{
     ApproxRank, GlobalScores, IdealRank, McApproxRank, PageRankOptions, StochasticComplementation,
     SubgraphRanker,
@@ -57,17 +57,6 @@ fn power_iteration_is_bitwise_stable_across_widths() {
     for w in WIDTHS {
         let r = pagerank(&g, &options(w));
         assert_bitwise(&reference, &r.scores, &format!("power @ {w} threads"));
-    }
-}
-
-#[test]
-#[ignore = "release-sized; CI runs with --ignored"]
-fn red_black_gauss_seidel_is_bitwise_stable_across_widths() {
-    let (g, _) = battery();
-    let reference = pagerank_gauss_seidel_red_black(&g, &options(1)).scores;
-    for w in WIDTHS {
-        let r = pagerank_gauss_seidel_red_black(&g, &options(w));
-        assert_bitwise(&reference, &r.scores, &format!("gs-rb @ {w} threads"));
     }
 }
 
